@@ -60,24 +60,6 @@ func TestPanicDoesNotWedgePool(t *testing.T) {
 	}
 }
 
-// TestLegacyRunRepanics pins the compatibility contract: Run (no error
-// containment) still crashes the process on a job panic, exactly as
-// the serial loops did.
-func TestLegacyRunRepanics(t *testing.T) {
-	defer func() {
-		if p := recover(); p != "boom" {
-			t.Fatalf("recovered %v, want the job's own panic value", p)
-		}
-	}()
-	Run(Config{Jobs: 1}, specN(4), func(i int, s Spec) int {
-		if i == 2 {
-			panic("boom")
-		}
-		return 0
-	})
-	t.Fatal("Run returned after a job panic")
-}
-
 func TestCancellationMidSuite(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	specs := specN(50)

@@ -68,9 +68,9 @@ type Config struct {
 
 	// Tracer, when non-nil, receives a phaseBegin/phaseEnd event pair
 	// per job (Label = Spec.String(), N = job index, Cycle = wall-clock
-	// microseconds since Run started). The engine serializes its own
-	// emissions; the tracer must not be fed concurrently by others
-	// while Run executes.
+	// microseconds since RunChecked started). The engine serializes its
+	// own emissions; the tracer must not be fed concurrently by others
+	// while RunChecked executes.
 	Tracer *obs.Tracer
 
 	// Progress, when non-nil, is updated live as jobs move through the
@@ -179,37 +179,18 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// Run executes run(i, specs[i]) for every spec across a worker pool and
-// returns the results in spec order. The result slice layout is
-// independent of worker count and completion order, which is what keeps
-// tables, golden files, and -json output byte-identical between
-// -jobs=1 and -jobs=N. A panic in run propagates and crashes the
-// process, exactly as it would have in the serial loops; callers that
-// need recovery, timeouts, or cancellation use RunChecked.
-func Run[R any](cfg Config, specs []Spec, run func(i int, s Spec) R) []R {
-	results, errs := RunChecked(cfg, specs, func(i int, s Spec) (R, error) {
-		return run(i, s), nil
-	})
-	for _, e := range errs {
-		if e.Panic != nil {
-			panic(e.Panic)
-		}
-	}
-	if len(errs) > 0 {
-		// Only reachable when cfg carries a context or timeout, which
-		// legacy callers do not set.
-		panic(errs[0])
-	}
-	return results
-}
-
-// RunChecked is Run with per-job failure containment: a job that
-// panics, errors, times out (Config.JobTimeout), or is cancelled
-// (Config.Ctx) becomes a JobError instead of crashing the suite, and
-// every other cell still completes and lands at its spec index. The
-// returned errors are in index order; results at failed indices are
-// the zero R. Jobs whose errors are marked Transient are retried with
-// seeded backoff (Config.Retries).
+// RunChecked executes run(i, specs[i]) for every spec across a worker
+// pool and returns the results in spec order. The result slice layout
+// is independent of worker count and completion order, which is what
+// keeps tables, golden files, and -json output byte-identical between
+// -jobs=1 and -jobs=N.
+//
+// Failures are contained per job: a job that panics, errors, times out
+// (Config.JobTimeout), or is cancelled (Config.Ctx) becomes a JobError
+// instead of crashing the suite, and every other cell still completes
+// and lands at its spec index. The returned errors are in index order;
+// results at failed indices are the zero R. Jobs whose errors are
+// marked Transient are retried with seeded backoff (Config.Retries).
 //
 // Workers claim job indices from a shared atomic counter, so a worker
 // that dies or is abandoned can never wedge submission — the old
@@ -379,7 +360,7 @@ func invoke[R any](ctx context.Context, timeout time.Duration, i int, s Spec, ru
 
 // Progress is the engine's observable state: jobs queued, running, and
 // done, plus per-cell wall-time aggregates. One Progress may be shared
-// across several Run invocations (a whole figure suite); counts
+// across several RunChecked invocations (a whole figure suite); counts
 // accumulate. All methods are safe for concurrent use and are no-ops
 // on a nil receiver, mirroring the obs.Tracer idiom.
 type Progress struct {
@@ -420,9 +401,9 @@ func (p *Progress) enqueue(n int) {
 }
 
 // start records the worker-pool width for utilization accounting. The
-// pool clock starts at the first Run sharing this Progress; a later Run
-// with a wider pool widens the recorded width (utilization stays
-// conservative).
+// pool clock starts at the first RunChecked sharing this Progress; a
+// later one with a wider pool widens the recorded width (utilization
+// stays conservative).
 func (p *Progress) start(workers int) {
 	if p == nil {
 		return
@@ -608,7 +589,7 @@ func (p *Progress) Workers() int {
 
 // Utilization returns summed cell wall time over (elapsed × workers) —
 // the fraction of pool capacity spent inside cells, in [0,1] under
-// normal accounting, 0 before any Run starts.
+// normal accounting, 0 before any RunChecked starts.
 func (p *Progress) Utilization() float64 {
 	if p == nil {
 		return 0

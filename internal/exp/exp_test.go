@@ -17,9 +17,22 @@ func specN(n int) []Spec {
 	return specs
 }
 
+// runAll runs f, which cannot fail, through RunChecked and reports any
+// JobError as a test failure. It may be called off the test goroutine.
+func runAll[R any](t *testing.T, cfg Config, specs []Spec, f func(i int, s Spec) R) []R {
+	t.Helper()
+	results, errs := RunChecked(cfg, specs, func(i int, s Spec) (R, error) {
+		return f(i, s), nil
+	})
+	for _, e := range errs {
+		t.Errorf("unexpected job failure: %v", e)
+	}
+	return results
+}
+
 func TestResultsInSpecOrder(t *testing.T) {
 	specs := specN(100)
-	got := Run(Config{Jobs: 8}, specs, func(i int, s Spec) int {
+	got := runAll(t, Config{Jobs: 8}, specs, func(i int, s Spec) int {
 		return i * 7
 	})
 	if len(got) != len(specs) {
@@ -35,9 +48,9 @@ func TestResultsInSpecOrder(t *testing.T) {
 func TestDeterministicAcrossJobCounts(t *testing.T) {
 	specs := specN(60)
 	f := func(i int, s Spec) string { return fmt.Sprintf("%d:%s", i, s) }
-	serial := Run(Config{Jobs: 1}, specs, f)
+	serial := runAll(t, Config{Jobs: 1}, specs, f)
 	for _, jobs := range []int{2, 7, 64} {
-		got := Run(Config{Jobs: jobs}, specs, f)
+		got := runAll(t, Config{Jobs: jobs}, specs, f)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("jobs=%d: results[%d] = %q, want %q", jobs, i, got[i], serial[i])
@@ -47,12 +60,12 @@ func TestDeterministicAcrossJobCounts(t *testing.T) {
 }
 
 func TestEmptyAndDefaults(t *testing.T) {
-	if got := Run(Config{}, nil, func(i int, s Spec) int { return 1 }); len(got) != 0 {
+	if got := runAll(t, Config{}, nil, func(i int, s Spec) int { return 1 }); len(got) != 0 {
 		t.Fatalf("empty specs produced %d results", len(got))
 	}
 	// Jobs <= 0 defaults, jobs > len clamps: both must still run all.
 	for _, jobs := range []int{0, -3, 99} {
-		got := Run(Config{Jobs: jobs}, specN(3), func(i int, s Spec) int { return i })
+		got := runAll(t, Config{Jobs: jobs}, specN(3), func(i int, s Spec) int { return i })
 		if len(got) != 3 || got[2] != 2 {
 			t.Fatalf("jobs=%d: got %v", jobs, got)
 		}
@@ -68,7 +81,7 @@ func TestJobsRunConcurrently(t *testing.T) {
 	barrier.Add(n)
 	done := make(chan struct{})
 	go func() {
-		Run(Config{Jobs: n}, specN(n), func(i int, s Spec) int {
+		runAll(t, Config{Jobs: n}, specN(n), func(i int, s Spec) int {
 			barrier.Done()
 			barrier.Wait() // blocks unless all n jobs are in flight
 			return i
@@ -85,7 +98,7 @@ func TestJobsRunConcurrently(t *testing.T) {
 func TestProgressCounts(t *testing.T) {
 	p := &Progress{}
 	specs := specN(12)
-	Run(Config{Jobs: 3, Progress: p}, specs, func(i int, s Spec) int {
+	runAll(t, Config{Jobs: 3, Progress: p}, specs, func(i int, s Spec) int {
 		time.Sleep(time.Millisecond)
 		return i
 	})
@@ -100,7 +113,7 @@ func TestProgressCounts(t *testing.T) {
 		t.Fatalf("max %v exceeds sum %v", p.CellWallMax(), p.CellWallSum())
 	}
 	// A second Run on the same Progress accumulates.
-	Run(Config{Jobs: 2, Progress: p}, specN(5), func(i int, s Spec) int { return i })
+	runAll(t, Config{Jobs: 2, Progress: p}, specN(5), func(i int, s Spec) int { return i })
 	if p.Done() != len(specs)+5 {
 		t.Fatalf("done = %d after second run, want %d", p.Done(), len(specs)+5)
 	}
@@ -112,7 +125,7 @@ func TestNilProgressAndTracerSafe(t *testing.T) {
 		p.CellWallMax() != 0 || p.CellWallLast() != 0 {
 		t.Fatal("nil Progress accessors not zero")
 	}
-	got := Run(Config{Jobs: 4}, specN(8), func(i int, s Spec) int { return i })
+	got := runAll(t, Config{Jobs: 4}, specN(8), func(i int, s Spec) int { return i })
 	if len(got) != 8 {
 		t.Fatalf("run without observers returned %d results", len(got))
 	}
@@ -122,7 +135,7 @@ func TestRegisterMetrics(t *testing.T) {
 	p := &Progress{}
 	r := obs.NewRegistry()
 	p.RegisterMetrics(r)
-	Run(Config{Jobs: 2, Progress: p}, specN(6), func(i int, s Spec) int {
+	runAll(t, Config{Jobs: 2, Progress: p}, specN(6), func(i int, s Spec) int {
 		time.Sleep(time.Millisecond)
 		return i
 	})
@@ -152,7 +165,7 @@ func TestTracerEventPairs(t *testing.T) {
 	sink := &obs.MemorySink{}
 	tr := obs.NewTracer(sink, 0)
 	specs := specN(10)
-	Run(Config{Jobs: 4, Tracer: tr}, specs, func(i int, s Spec) int { return i })
+	runAll(t, Config{Jobs: 4, Tracer: tr}, specs, func(i int, s Spec) int { return i })
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -228,10 +228,20 @@ func (r *Registry) Table() *report.Table {
 	return t
 }
 
-func formatMetric(v float64) string {
+// Finite maps NaN and ±Inf to 0 and returns every other value
+// unchanged: the one policy every metric surface applies, so tables,
+// JSON documents (encoding/json rejects non-finite values outright) and
+// monitoring scrapes stay well-formed whatever a computed gauge's
+// denominators were.
+func Finite(v float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "0" // keep table and JSON output well-formed
+		return 0
 	}
+	return v
+}
+
+func formatMetric(v float64) string {
+	v = Finite(v)
 	if v == float64(int64(v)) {
 		return fmt.Sprintf("%d", int64(v))
 	}

@@ -38,7 +38,8 @@ var ErrTorn = errors.New("opt: torn relocation detected")
 // conflicting in-flight work: another relocation of the same source
 // block (concurrent chain-append is illegal) or any faulted relocation
 // (the journal and armed injector must be exclusively owned).
-// Interceptor chains (tier daemon, chaos relocator) forward it inward.
+// TryRelocate finds it with app.As, however deep in the wrapper chain
+// (under the tier daemon, the chaos relocator) the wrapper sits.
 type relocationBarrier interface {
 	RelocationBarrier(src mem.Addr)
 }
@@ -91,18 +92,19 @@ func Relocate(m app.Machine, src, tgt mem.Addr, nWords int) {
 // Under concurrent execution (internal/sched) two extra rules apply,
 // both free at harts=1:
 //
-//   - the machine's RelocationBarrier hook (if implemented) runs
-//     first, before the injector is read: the scheduler drains any
-//     in-flight relocation of the same block (chains must not be
-//     appended to concurrently) and any in-flight *faulted* relocation
-//     (the journal and the armed injector are exclusive state);
+//   - the RelocationBarrier hook of the first machine in the wrapper
+//     chain that has one runs first, before the injector is read: the
+//     scheduler drains any in-flight relocation of the same block
+//     (chains must not be appended to concurrently) and any in-flight
+//     *faulted* relocation (the journal and the armed injector are
+//     exclusive state);
 //   - each plant refreshes its copy against the chain end's current
 //     value just before the forwarding word is written, making the
 //     read-copy-plant step atomic with respect to mutator stores (a
 //     guest store between the copy phase and the plant would otherwise
 //     commit a stale copy).
 func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
-	if b, ok := m.(relocationBarrier); ok {
+	if b, ok := app.As[relocationBarrier](m); ok {
 		b.RelocationBarrier(src)
 	}
 	inj := m.FaultInjector()

@@ -2,11 +2,13 @@
 // carries an obs.SpanTable, every relocation attempt is recorded as a
 // structured span over the two-phase commit with per-phase cycle costs,
 // chain length before/after, outcome, and any fault-injector shots that
-// fired inside the span. With no table attached the cost is one type
-// assertion per relocation and zero allocations.
+// fired inside the span. With no table attached the cost is one
+// app.As walk down the wrapper chain per relocation and zero
+// allocations.
 package opt
 
 import (
+	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
@@ -15,7 +17,8 @@ import (
 
 // spanRecorder is the optional machine surface span recording needs:
 // both sim.Machine (cycle-accurate stamps) and oracle.Machine (Now
-// constantly 0, zero-width phases) satisfy it.
+// constantly 0, zero-width phases) satisfy it. Wrappers do not; app.As
+// finds the leaf machine beneath them.
 type spanRecorder interface {
 	RelocationSpans() *obs.SpanTable
 	Now() int64
@@ -34,11 +37,11 @@ type relocSpan struct {
 	tCopy, tVerify, tPlant int64 // completion stamps; -1 = not reached
 }
 
-// beginSpan opens a span if (and only if) the machine exposes a span
-// table. The chain-length probe uses hook-free direct reads, so it
-// perturbs neither timing nor fault-injector visit counts.
-func beginSpan(m any, fwd *core.Forwarder, inj *fault.Injector, src, tgt mem.Addr, nWords int) *relocSpan {
-	sr, ok := m.(spanRecorder)
+// beginSpan opens a span if (and only if) the machine's wrapper chain
+// exposes a span table. The chain-length probe uses hook-free direct
+// reads, so it perturbs neither timing nor fault-injector visit counts.
+func beginSpan(m app.Machine, fwd *core.Forwarder, inj *fault.Injector, src, tgt mem.Addr, nWords int) *relocSpan {
+	sr, ok := app.As[spanRecorder](m)
 	if !ok {
 		return nil
 	}

@@ -12,14 +12,15 @@ import (
 )
 
 // Relocator is a seeded adversary implementing app.Machine: it wraps an
-// inner machine, delegates every guest operation, and interleaves the
-// guest's execution with random legal relocations of the guest's own
-// heap blocks. The paper's central claim is that relocation is *always*
-// safe — at any point, of any object, any number of times — so an
-// adversary that relocates behind the program's back must never change
-// what the program computes. The differential harness checks exactly
-// that: a chaos-wrapped run must produce the same app.Result and the
-// same heap digest (modulo forwarding) as an unperturbed run.
+// inner machine through app.Interceptor, hooks the guest's data
+// operations, and interleaves the guest's execution with random legal
+// relocations of the guest's own heap blocks. The paper's central
+// claim is that relocation is *always* safe — at any point, of any
+// object, any number of times — so an adversary that relocates behind
+// the program's back must never change what the program computes. The
+// differential harness checks exactly that: a chaos-wrapped run must
+// produce the same app.Result and the same heap digest (modulo
+// forwarding) as an unperturbed run.
 //
 // Adversarial repertoire, all legal per the paper's rules:
 //
@@ -48,8 +49,8 @@ import (
 // All decisions come from a seeded rand.Rand driven only by the guest's
 // operation sequence, so a failing episode replays from its seed.
 type Relocator struct {
-	inner app.Machine
-	rng   *rand.Rand
+	app.Interceptor
+	rng *rand.Rand
 
 	// Countdown in guest operations until the next chaos action.
 	countdown int
@@ -101,7 +102,6 @@ func NewRelocator(inner app.Machine, seed int64, interval int) *Relocator {
 	_, heapEnd := inner.Allocator().Range()
 	arena := (heapEnd + 0xF_FFFF) &^ 0xF_FFFF // 1MB-aligned guard gap
 	r := &Relocator{
-		inner:      inner,
 		rng:        rand.New(rand.NewSource(seed)),
 		interval:   interval,
 		maxBytes:   1 << 19,
@@ -110,6 +110,7 @@ func NewRelocator(inner app.Machine, seed int64, interval int) *Relocator {
 		arenaNext:  arena + 0x10_0000,
 		arenaEnd:   arena + 0x10_0000 + (1 << 28),
 	}
+	r.Interceptor = app.NewInterceptor(inner, r)
 	r.reload()
 	return r
 }
@@ -156,9 +157,9 @@ func (r *Relocator) tick() {
 	}
 	r.reload()
 	r.inChaos = true
-	r.inner.SetTrap(nil)
+	r.Machine.SetTrap(nil)
 	defer func() {
-		r.inner.SetTrap(r.guestTrap)
+		r.Machine.SetTrap(r.guestTrap)
 		r.inChaos = false
 	}()
 	switch n := r.rng.Intn(12); {
@@ -187,7 +188,7 @@ func (r *Relocator) relocateRandom() {
 // pickBlock draws a random live tracked block (0 when none remain),
 // lazily dropping blocks freed outside our Free interception.
 func (r *Relocator) pickBlock() mem.Addr {
-	al := r.inner.Allocator()
+	al := r.Machine.Allocator()
 	for len(r.blocks) > 0 {
 		i := r.rng.Intn(len(r.blocks))
 		base := r.blocks[i]
@@ -215,7 +216,7 @@ func (r *Relocator) pickBlock() mem.Addr {
 // Re-relocating an already-moved block therefore lengthens its chain,
 // driving chains past HopLimit and into the false-alarm cycle check.
 func (r *Relocator) relocateBlock(base mem.Addr) {
-	size, ok := r.inner.Allocator().SizeOf(base)
+	size, ok := r.Machine.Allocator().SizeOf(base)
 	if !ok {
 		return
 	}
@@ -229,13 +230,13 @@ func (r *Relocator) relocateBlock(base mem.Addr) {
 	}
 	// Untimed peek before the move: a first word that already forwards
 	// means this relocation lengthens an existing chain.
-	if r.inner.Memory().FBit(base) {
+	if r.Machine.Memory().FBit(base) {
 		r.Lengthenings++
 	}
 	// The move itself is the production two-phase commit — the adversary
 	// exercises exactly the code path the opt passes use, including its
 	// bounded chain-append walk.
-	if err := opt.TryRelocate(r.inner, base, tgt, int(size/mem.WordSize)); err != nil {
+	if err := opt.TryRelocate(r.Machine, base, tgt, int(size/mem.WordSize)); err != nil {
 		panic(fmt.Sprintf("oracle: chaos relocation of %#x (%d words): %v", base, size/mem.WordSize, err))
 	}
 	r.Relocations++
@@ -256,7 +257,7 @@ func (r *Relocator) faultedRelocate() {
 	if base == 0 {
 		return
 	}
-	size, ok := r.inner.Allocator().SizeOf(base)
+	size, ok := r.Machine.Allocator().SizeOf(base)
 	if !ok {
 		return
 	}
@@ -272,32 +273,32 @@ func (r *Relocator) faultedRelocate() {
 
 	// Record pre-relocation values (through any existing chains) to
 	// verify the repair against.
-	fwd := r.inner.Forwarder()
+	fwd := r.Machine.Forwarder()
 	want := make([]uint64, words)
 	for i := range want {
 		final, _, err := fwd.Resolve(base+mem.Addr(i*mem.WordSize), nil)
 		if err != nil {
 			panic(fmt.Sprintf("oracle: faulted relocation of %#x: %v", base, err))
 		}
-		want[i], _ = r.inner.UnforwardedRead(mem.WordAlign(final))
+		want[i], _ = r.Machine.UnforwardedRead(mem.WordAlign(final))
 	}
 
 	inj := fault.New(r.rng.Int63())
 	kind := r.faultKinds[r.rng.Intn(len(r.faultKinds))]
 	point, visit := r.armPoint(kind, words)
 	inj.Arm(kind, point, visit)
-	prev := r.inner.FaultInjector()
-	r.inner.SetFaultInjector(inj)
+	prev := r.Machine.FaultInjector()
+	r.Machine.SetFaultInjector(inj)
 	err := func() (err error) {
 		defer fault.RecoverCrash(&err)
-		return opt.TryRelocate(r.inner, base, tgt, words)
+		return opt.TryRelocate(r.Machine, base, tgt, words)
 	}()
-	r.inner.SetFaultInjector(prev)
+	r.Machine.SetFaultInjector(prev)
 	if inj.Fired() {
 		r.FaultsInjected++
 	}
 	if err != nil {
-		if _, serr := fault.Scavenge(r.inner.Memory(), fwd, &inj.Journal, inj); serr != nil {
+		if _, serr := fault.Scavenge(r.Machine.Memory(), fwd, &inj.Journal, inj); serr != nil {
 			panic(fmt.Sprintf("oracle: scavenge of %#x after %q (%s@%s:%d): %v",
 				base, err, kind, point, visit, serr))
 		}
@@ -317,7 +318,7 @@ func (r *Relocator) faultedRelocate() {
 			panic(fmt.Sprintf("oracle: post-repair %#x resolves to %#x, want %#x (%s@%s:%d)",
 				s, final, d, kind, point, visit))
 		}
-		if v, fb := r.inner.UnforwardedRead(d); fb || v != want[i] {
+		if v, fb := r.Machine.UnforwardedRead(d); fb || v != want[i] {
 			panic(fmt.Sprintf("oracle: post-repair word %d of %#x = %#x (fbit=%v), want %#x (%s@%s:%d)",
 				i, base, v, fb, want[i], kind, point, visit))
 		}
@@ -381,25 +382,25 @@ func (r *Relocator) probe(cyclic bool) {
 		words[i] = base + mem.Addr(i)*mem.WordSize
 	}
 	payload := r.rng.Uint64()
-	r.inner.UnforwardedWrite(words[k], payload, false)
+	r.Machine.UnforwardedWrite(words[k], payload, false)
 	for i := k - 1; i >= 0; i-- {
 		delta := r.misalignedDelta(off)
-		r.inner.UnforwardedWrite(words[i], uint64(int64(words[i+1])+delta), true)
+		r.Machine.UnforwardedWrite(words[i], uint64(int64(words[i+1])+delta), true)
 	}
-	fwd := r.inner.Forwarder()
+	fwd := r.Machine.Forwarder()
 	if cyclic {
 		delta := r.misalignedDelta(off)
-		r.inner.UnforwardedWrite(words[k], uint64(int64(words[0])+delta), true)
+		r.Machine.UnforwardedWrite(words[k], uint64(int64(words[0])+delta), true)
 		if _, _, err := fwd.Resolve(words[0]+off, nil); err != core.ErrCycle {
 			panic(fmt.Sprintf("oracle: cyclic probe at %#x+%d not detected: err=%v", words[0], off, err))
 		}
 		for _, w := range words {
-			r.inner.UnforwardedWrite(w, 0, false)
+			r.Machine.UnforwardedWrite(w, 0, false)
 		}
 		r.CyclicProbes++
 		return
 	}
-	if got, want := r.inner.Load8(words[0]+off), uint8(payload>>(8*uint(off))); got != want {
+	if got, want := r.Machine.Load8(words[0]+off), uint8(payload>>(8*uint(off))); got != want {
 		panic(fmt.Sprintf("oracle: probe at %#x+%d read %#x, want %#x", words[0], off, got, want))
 	}
 	chain := fwd.ChainWords(words[0] + off)
@@ -415,91 +416,36 @@ func (r *Relocator) probe(cyclic bool) {
 	r.Probes++
 }
 
-// --- app.Machine interception ---------------------------------------
-
-// Inst delegates (timing only; does not advance the chaos clock).
-func (r *Relocator) Inst(n int) { r.inner.Inst(n) }
+// --- guest-operation interception -----------------------------------
+//
+// The chaos clock advances on the guest's data operations only; every
+// other app.Machine method reaches the inner machine through the
+// embedded app.Interceptor.
 
 // Load intercepts a load: possibly act, then delegate.
 func (r *Relocator) Load(a mem.Addr, size uint) uint64 {
 	r.tick()
-	return r.inner.Load(a, size)
+	return r.Machine.Load(a, size)
 }
 
 // Store intercepts a store: possibly act, then delegate.
 func (r *Relocator) Store(a mem.Addr, v uint64, size uint) {
 	r.tick()
-	r.inner.Store(a, v, size)
+	r.Machine.Store(a, v, size)
 }
-
-// LoadWord routes through Load.
-func (r *Relocator) LoadWord(a mem.Addr) uint64 { return r.Load(a, 8) }
-
-// StoreWord routes through Store.
-func (r *Relocator) StoreWord(a mem.Addr, v uint64) { r.Store(a, v, 8) }
-
-// LoadPtr routes through Load.
-func (r *Relocator) LoadPtr(a mem.Addr) mem.Addr { return mem.Addr(r.Load(a, 8)) }
-
-// StorePtr routes through Store.
-func (r *Relocator) StorePtr(a, p mem.Addr) { r.Store(a, uint64(p), 8) }
-
-// Load32 routes through Load.
-func (r *Relocator) Load32(a mem.Addr) uint32 { return uint32(r.Load(a, 4)) }
-
-// Store32 routes through Store.
-func (r *Relocator) Store32(a mem.Addr, v uint32) { r.Store(a, uint64(v), 4) }
-
-// Load16 routes through Load.
-func (r *Relocator) Load16(a mem.Addr) uint16 { return uint16(r.Load(a, 2)) }
-
-// Store16 routes through Store.
-func (r *Relocator) Store16(a mem.Addr, v uint16) { r.Store(a, uint64(v), 2) }
-
-// Load8 routes through Load.
-func (r *Relocator) Load8(a mem.Addr) uint8 { return uint8(r.Load(a, 1)) }
-
-// Store8 routes through Store.
-func (r *Relocator) Store8(a mem.Addr, v uint8) { r.Store(a, uint64(v), 1) }
-
-// Prefetch delegates.
-func (r *Relocator) Prefetch(a mem.Addr, lines int) { r.inner.Prefetch(a, lines) }
-
-// ReadFBit delegates.
-func (r *Relocator) ReadFBit(a mem.Addr) bool { return r.inner.ReadFBit(a) }
-
-// UnforwardedRead delegates.
-func (r *Relocator) UnforwardedRead(a mem.Addr) (uint64, bool) { return r.inner.UnforwardedRead(a) }
-
-// UnforwardedWrite delegates.
-func (r *Relocator) UnforwardedWrite(a mem.Addr, v uint64, fbit bool) {
-	r.inner.UnforwardedWrite(a, v, fbit)
-}
-
-// FinalAddr delegates.
-func (r *Relocator) FinalAddr(a mem.Addr) mem.Addr { return r.inner.FinalAddr(a) }
-
-// PtrEqual delegates.
-func (r *Relocator) PtrEqual(a, b mem.Addr) bool { return r.inner.PtrEqual(a, b) }
 
 // SetTrap records the guest handler (so chaos actions can mask it) and
 // delegates.
 func (r *Relocator) SetTrap(h core.TrapHandler) {
 	r.guestTrap = h
-	r.inner.SetTrap(h)
+	r.Machine.SetTrap(h)
 }
-
-// FaultInjector delegates.
-func (r *Relocator) FaultInjector() *fault.Injector { return r.inner.FaultInjector() }
-
-// SetFaultInjector delegates.
-func (r *Relocator) SetFaultInjector(in *fault.Injector) { r.inner.SetFaultInjector(in) }
 
 // Malloc intercepts an allocation: possibly act, delegate, and track
 // the new block as a relocation candidate.
 func (r *Relocator) Malloc(n uint64) mem.Addr {
 	r.tick()
-	a := r.inner.Malloc(n)
+	a := r.Machine.Malloc(n)
 	if n <= r.maxBytes && len(r.blocks) < r.maxBlocks {
 		r.blocks = append(r.blocks, a)
 	}
@@ -516,44 +462,5 @@ func (r *Relocator) Free(a mem.Addr) {
 		}
 	}
 	r.tick()
-	r.inner.Free(a)
-}
-
-// Allocator delegates.
-func (r *Relocator) Allocator() *mem.Allocator { return r.inner.Allocator() }
-
-// Memory delegates.
-func (r *Relocator) Memory() *mem.Memory { return r.inner.Memory() }
-
-// Forwarder delegates.
-func (r *Relocator) Forwarder() *core.Forwarder { return r.inner.Forwarder() }
-
-// LineSize delegates.
-func (r *Relocator) LineSize() int { return r.inner.LineSize() }
-
-// Site delegates.
-func (r *Relocator) Site(name string) int { return r.inner.Site(name) }
-
-// SetSite delegates.
-func (r *Relocator) SetSite(id int) { r.inner.SetSite(id) }
-
-// PhaseBegin delegates.
-func (r *Relocator) PhaseBegin(name string) { r.inner.PhaseBegin(name) }
-
-// PhaseEnd delegates.
-func (r *Relocator) PhaseEnd(name string) { r.inner.PhaseEnd(name) }
-
-// TraceRelocate delegates.
-func (r *Relocator) TraceRelocate(src, tgt mem.Addr, nWords int) {
-	r.inner.TraceRelocate(src, tgt, nWords)
-}
-
-// RelocationBarrier forwards opt.TryRelocate's concurrency barrier
-// inward, so a multi-hart scheduling group (internal/sched) beneath the
-// adversary drains conflicting in-flight relocations before a chaos
-// action touches shared relocation state.
-func (r *Relocator) RelocationBarrier(src mem.Addr) {
-	if b, ok := r.inner.(interface{ RelocationBarrier(mem.Addr) }); ok {
-		b.RelocationBarrier(src)
-	}
+	r.Machine.Free(a)
 }

@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"memfwd/internal/apps/app"
+	"memfwd/internal/apps/health"
 	"memfwd/internal/apps/mst"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
 	"memfwd/internal/opt"
+	"memfwd/internal/sim"
 )
 
 // TestOracleMachineRecordsZeroWidthSpans: the timing-free oracle
@@ -38,6 +40,29 @@ func TestOracleMachineRecordsZeroWidthSpans(t *testing.T) {
 	}
 	if s.Begin != 0 || s.TotalCycles != 0 || s.CopyCycles != 0 || s.PlantCycles != 0 {
 		t.Fatalf("oracle spans should be zero-width: %+v", s)
+	}
+}
+
+// TestRelocatorKeepsGuestSpans: with the chaos adversary wrapped around
+// a span-recording machine, the span table records every committed
+// relocation — the guest's opt-pass moves, which reach TryRelocate
+// through the adversary, as well as the adversary's own. A wrapper that
+// hides the machine's span table from TryRelocate loses the guest's
+// spans and keeps only its own.
+func TestRelocatorKeepsGuestSpans(t *testing.T) {
+	m := sim.New(sim.Config{})
+	spans := obs.NewSpanTable(0)
+	m.SetSpans(spans)
+	rel := NewRelocator(m, 5, 0)
+	res := health.App.Run(rel, app.Config{Opt: true, Seed: 1})
+
+	if res.Relocated == 0 || rel.Relocations == 0 {
+		t.Fatalf("run exercised too little: %d guest relocations, %d chaos relocations", res.Relocated, rel.Relocations)
+	}
+	committed, _, _ := spans.Outcomes()
+	if want := uint64(res.Relocated + rel.Relocations); committed != want {
+		t.Fatalf("%d committed spans, want %d = %d guest relocations + %d chaos relocations",
+			committed, want, res.Relocated, rel.Relocations)
 	}
 }
 

@@ -3,95 +3,39 @@ package sched
 import (
 	"fmt"
 
-	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
-	"memfwd/internal/obs"
 )
 
-// app.Machine delegation. Scheduling points (point) fire at the guest's
-// *data* operations — loads, stores, malloc, free — matching the chaos
-// Relocator's interception sites. The ISA-extension primitives
-// (ReadFBit, UnforwardedRead/Write, FinalAddr) and Inst deliberately
-// take no scheduling point: they are what guest-initiated relocation
-// passes (opt.ListLinearize and friends) are made of, so a guest
-// relocation runs with no job launches between its own word accesses —
-// the RelocationBarrier at its head is then sufficient to keep the
-// group's jobs off its source block for the whole two-phase commit.
-
-// Inst delegates (no scheduling point; see above).
-func (g *Group) Inst(n int) { g.inner.Inst(n) }
+// Guest-operation interception. Scheduling points (point) fire at the
+// guest's *data* operations — loads, stores, malloc, free — matching
+// the chaos Relocator's interception sites; every other app.Machine
+// method reaches the inner machine through the embedded
+// app.Interceptor. The ISA-extension primitives (ReadFBit,
+// UnforwardedRead/Write, FinalAddr) and Inst deliberately take no
+// scheduling point: they are what guest-initiated relocation passes
+// (opt.ListLinearize and friends) are made of, so a guest relocation
+// runs with no job launches between its own word accesses — the
+// RelocationBarrier at its head is then sufficient to keep the group's
+// jobs off its source block for the whole two-phase commit.
 
 // Load takes a scheduling point and delegates.
 func (g *Group) Load(a mem.Addr, size uint) uint64 {
 	g.point()
-	return g.inner.Load(a, size)
+	return g.Machine.Load(a, size)
 }
 
 // Store takes a scheduling point and delegates.
 func (g *Group) Store(a mem.Addr, v uint64, size uint) {
 	g.point()
-	g.inner.Store(a, v, size)
+	g.Machine.Store(a, v, size)
 }
-
-// LoadWord delegates through Load.
-func (g *Group) LoadWord(a mem.Addr) uint64 { return g.Load(a, 8) }
-
-// StoreWord delegates through Store.
-func (g *Group) StoreWord(a mem.Addr, v uint64) { g.Store(a, v, 8) }
-
-// LoadPtr delegates through Load.
-func (g *Group) LoadPtr(a mem.Addr) mem.Addr { return mem.Addr(g.Load(a, 8)) }
-
-// StorePtr delegates through Store.
-func (g *Group) StorePtr(a, p mem.Addr) { g.Store(a, uint64(p), 8) }
-
-// Load32 delegates through Load.
-func (g *Group) Load32(a mem.Addr) uint32 { return uint32(g.Load(a, 4)) }
-
-// Store32 delegates through Store.
-func (g *Group) Store32(a mem.Addr, v uint32) { g.Store(a, uint64(v), 4) }
-
-// Load16 delegates through Load.
-func (g *Group) Load16(a mem.Addr) uint16 { return uint16(g.Load(a, 2)) }
-
-// Store16 delegates through Store.
-func (g *Group) Store16(a mem.Addr, v uint16) { g.Store(a, uint64(v), 2) }
-
-// Load8 delegates through Load.
-func (g *Group) Load8(a mem.Addr) uint8 { return uint8(g.Load(a, 1)) }
-
-// Store8 delegates through Store.
-func (g *Group) Store8(a mem.Addr, v uint8) { g.Store(a, uint64(v), 1) }
-
-// Prefetch delegates.
-func (g *Group) Prefetch(a mem.Addr, lines int) { g.inner.Prefetch(a, lines) }
-
-// ReadFBit delegates (no scheduling point; see the package note above).
-func (g *Group) ReadFBit(a mem.Addr) bool { return g.inner.ReadFBit(a) }
-
-// UnforwardedRead delegates.
-func (g *Group) UnforwardedRead(a mem.Addr) (uint64, bool) { return g.inner.UnforwardedRead(a) }
-
-// UnforwardedWrite delegates.
-func (g *Group) UnforwardedWrite(a mem.Addr, v uint64, fbit bool) {
-	g.inner.UnforwardedWrite(a, v, fbit)
-}
-
-// FinalAddr delegates.
-func (g *Group) FinalAddr(a mem.Addr) mem.Addr { return g.inner.FinalAddr(a) }
-
-// PtrEqual delegates.
-func (g *Group) PtrEqual(a, b mem.Addr) bool { return g.inner.PtrEqual(a, b) }
-
-// SetTrap delegates.
-func (g *Group) SetTrap(h core.TrapHandler) { g.inner.SetTrap(h) }
 
 // Malloc takes a scheduling point, delegates, and tracks the new block
 // as relocation-eligible.
 func (g *Group) Malloc(n uint64) mem.Addr {
 	g.point()
-	a := g.inner.Malloc(n)
+	a := g.Machine.Malloc(n)
 	// A fresh block overlapping an in-flight job's source means the
 	// liveness discipline broke somewhere (the allocator zeroes reused
 	// space, wiping the job's half-planted forwarding words): fail at
@@ -129,23 +73,8 @@ func (g *Group) Free(a mem.Addr) {
 			}
 		}
 	}
-	g.inner.Free(a)
+	g.Machine.Free(a)
 }
-
-// Allocator delegates.
-func (g *Group) Allocator() *mem.Allocator { return g.inner.Allocator() }
-
-// Memory delegates.
-func (g *Group) Memory() *mem.Memory { return g.inner.Memory() }
-
-// Forwarder delegates.
-func (g *Group) Forwarder() *core.Forwarder { return g.inner.Forwarder() }
-
-// LineSize delegates.
-func (g *Group) LineSize() int { return g.inner.LineSize() }
-
-// FaultInjector delegates.
-func (g *Group) FaultInjector() *fault.Injector { return g.inner.FaultInjector() }
 
 // SetFaultInjector installs an injector from outside the group (the
 // chaos adversary's faulted episodes, crash-consistency harnesses).
@@ -159,40 +88,5 @@ func (g *Group) SetFaultInjector(in *fault.Injector) {
 	if in != nil {
 		g.Quiesce()
 	}
-	g.inner.SetFaultInjector(in)
-}
-
-// Site delegates.
-func (g *Group) Site(name string) int { return g.inner.Site(name) }
-
-// SetSite delegates.
-func (g *Group) SetSite(id int) { g.inner.SetSite(id) }
-
-// PhaseBegin delegates.
-func (g *Group) PhaseBegin(name string) { g.inner.PhaseBegin(name) }
-
-// PhaseEnd delegates.
-func (g *Group) PhaseEnd(name string) { g.inner.PhaseEnd(name) }
-
-// TraceRelocate delegates.
-func (g *Group) TraceRelocate(src, tgt mem.Addr, nWords int) {
-	g.inner.TraceRelocate(src, tgt, nWords)
-}
-
-// Now forwards the machine's cycle clock when it has one (sim and
-// oracle machines both do), so span recording survives the group being
-// in the interceptor chain.
-func (g *Group) Now() int64 {
-	if sr, ok := g.inner.(interface{ Now() int64 }); ok {
-		return sr.Now()
-	}
-	return 0
-}
-
-// RelocationSpans forwards the machine's span table when it has one.
-func (g *Group) RelocationSpans() *obs.SpanTable {
-	if sr, ok := g.inner.(interface{ RelocationSpans() *obs.SpanTable }); ok {
-		return sr.RelocationSpans()
-	}
-	return nil
+	g.Machine.SetFaultInjector(in)
 }

@@ -121,9 +121,12 @@ func (h *hart) step() {
 // store can never slip between them.
 //
 // The embedded interface is the group's *inner* machine, so a job's
-// relocation does not re-enter the group's own barrier or scheduling
-// points, and optional interfaces the outer wrappers add (span
-// recording, relocation barriers) are deliberately absent here.
+// word accesses take no scheduling points. hartMachine is deliberately
+// opaque: it embeds app.Machine rather than app.Interceptor, so it has
+// no Unwrap and app.As cannot see past it. TryRelocate therefore finds
+// no relocation barrier (the group's own would re-enter it mid-job and
+// drain the very job calling it) and no span table (hart jobs are
+// counted in the group's Stats, not recorded as spans).
 type hartMachine struct {
 	app.Machine
 	h *hart

@@ -3,8 +3,8 @@
 // at word-access granularity, and makes every interleaving enumerable
 // and replayable from a seed.
 //
-// A Group wraps an app.Machine (the interceptor pattern the chaos
-// Relocator established) and owns P-1 relocator harts, each a
+// A Group wraps an app.Machine through app.Interceptor, hooking only
+// the guest's data operations, and owns P-1 relocator harts, each a
 // coroutine driving the production two-phase commit (opt.TryRelocate)
 // against the shared tagged memory. At every intercepted guest
 // operation the Group may launch a new relocation job and grants a
@@ -70,8 +70,9 @@ type Stats struct {
 	Drains      int   // jobs force-completed by the relocation barrier
 }
 
-// hartSwitcher is the optional per-hart timing interface of the inner
-// machine (sim.Machine, or the serve proxy forwarding to one). Absent
+// hartSwitcher is the optional per-hart timing capability, found by
+// app.As down the inner chain: sim.Machine, or the serve proxy, which
+// forwards to whichever machine live migration last swapped in. Absent
 // — the functional oracle — service steps still run, just without
 // per-hart timing attribution.
 type hartSwitcher interface {
@@ -89,10 +90,10 @@ const maxGrantsPerPoint = 4
 // by multiple goroutines — like the machine it wraps, it belongs to
 // one guest.
 type Group struct {
-	inner app.Machine
-	hs    hartSwitcher // nil when inner has no per-hart timing
-	cfg   Config
-	rng   prng
+	app.Interceptor
+	hs  hartSwitcher // nil when the inner chain has no per-hart timing
+	cfg Config
+	rng prng
 
 	harts     []*hart
 	countdown int
@@ -132,13 +133,13 @@ func New(inner app.Machine, cfg Config) (*Group, error) {
 		cfg.WordBudget = 1 << 19
 	}
 	g := &Group{
-		inner:      inner,
 		cfg:        cfg,
 		rng:        prng{state: uint64(cfg.Seed)},
 		maxBlocks:  1 << 14,
 		wordBudget: cfg.WordBudget,
 	}
-	if hs, ok := inner.(hartSwitcher); ok {
+	g.Interceptor = app.NewInterceptor(inner, g)
+	if hs, ok := app.As[hartSwitcher](inner); ok {
 		if hs.HartCount() < cfg.Harts {
 			return nil, fmt.Errorf("sched: %d harts requested but the machine has %d", cfg.Harts, hs.HartCount())
 		}
@@ -261,7 +262,7 @@ func (g *Group) pickBusy() *hart {
 // is in flight. Faulted jobs still race the guest's loads and stores
 // — exclusivity is only between relocator harts.
 func (g *Group) launch() {
-	if g.inner.FaultInjector() != nil {
+	if g.Machine.FaultInjector() != nil {
 		return
 	}
 	var idle *hart
@@ -296,7 +297,7 @@ func (g *Group) launch() {
 	if base == 0 || g.busyOn(base) {
 		return
 	}
-	size, ok := g.inner.Allocator().SizeOf(base)
+	size, ok := g.Machine.Allocator().SizeOf(base)
 	if !ok || size > g.cfg.MaxBlockBytes {
 		return
 	}
@@ -348,7 +349,7 @@ func (g *Group) armCrash(words int) (fault.Point, int) {
 // pickBlock draws a live tracked block (0 when none), lazily dropping
 // dead ones — the same policy as the chaos Relocator.
 func (g *Group) pickBlock() mem.Addr {
-	al := g.inner.Allocator()
+	al := g.Machine.Allocator()
 	for len(g.blocks) > 0 {
 		i := g.rng.intn(len(g.blocks))
 		base := g.blocks[i]
@@ -391,15 +392,15 @@ func (g *Group) arenaTake(n uint64) mem.Addr {
 // between two yields is atomic.
 func (g *Group) runJob(h *hart) {
 	jb := h.job
-	hm := &hartMachine{Machine: g.inner, h: h}
+	hm := &hartMachine{Machine: g.Machine, h: h}
 
-	prev := g.inner.FaultInjector()
+	prev := g.Machine.FaultInjector()
 	inj := prev
 	if jb.inj != nil {
 		// A faulted job owns the machine's injector slot (and with it
 		// the journal) for its whole interleaved duration; the
 		// RelocationBarrier drains it before anyone else journals.
-		g.inner.SetFaultInjector(jb.inj)
+		g.Machine.SetFaultInjector(jb.inj)
 		inj = jb.inj
 	}
 	err := func() (err error) {
@@ -407,7 +408,7 @@ func (g *Group) runJob(h *hart) {
 		return opt.TryRelocate(hm, jb.src, jb.tgt, jb.words)
 	}()
 	if jb.inj != nil {
-		g.inner.SetFaultInjector(prev)
+		g.Machine.SetFaultInjector(prev)
 		if jb.inj.Fired() {
 			g.stats.Crashes++
 		}
@@ -421,7 +422,7 @@ func (g *Group) runJob(h *hart) {
 		if inj == nil {
 			panic(fmt.Sprintf("sched: relocation of %#x (%d words): %v", jb.src, jb.words, err))
 		}
-		if _, serr := fault.Scavenge(g.inner.Memory(), g.inner.Forwarder(), &inj.Journal, inj); serr != nil {
+		if _, serr := fault.Scavenge(g.Machine.Memory(), g.Machine.Forwarder(), &inj.Journal, inj); serr != nil {
 			panic(fmt.Sprintf("sched: scavenge of %#x after %q: %v", jb.src, err, serr))
 		}
 		g.stats.Scavenges++
@@ -431,7 +432,7 @@ func (g *Group) runJob(h *hart) {
 	// stores legally change *values*, which the surrounding
 	// differential harness checks end to end): every source word must
 	// resolve to its copy, and no copy may itself forward.
-	fwd := g.inner.Forwarder()
+	fwd := g.Machine.Forwarder()
 	for i := 0; i < jb.words; i++ {
 		s := jb.src + mem.Addr(i*mem.WordSize)
 		d := jb.tgt + mem.Addr(i*mem.WordSize)
@@ -469,7 +470,7 @@ func (g *Group) RelocationBarrier(src mem.Addr) {
 		if h.job == nil || h.dead {
 			continue
 		}
-		if g.sameObject(h.job.src, src) || h.job.inj != nil || g.inner.FaultInjector() != nil {
+		if g.sameObject(h.job.src, src) || h.job.inj != nil || g.Machine.FaultInjector() != nil {
 			g.drain(h)
 		}
 	}
@@ -482,7 +483,7 @@ func (g *Group) RelocationBarrier(src mem.Addr) {
 // chain longer than any the group can legally build (a cycle, or
 // memory mid-corruption); callers treat that conservatively.
 func (g *Group) finalOf(a mem.Addr) (mem.Addr, bool) {
-	mm := g.inner.Memory()
+	mm := g.Machine.Memory()
 	wa := mem.WordAlign(a)
 	for hops := 0; mm.FBit(wa); hops++ {
 		if hops > 4*core.DefaultHopLimit {

@@ -2,41 +2,45 @@ package serve
 
 import (
 	"memfwd/internal/apps/app"
-	"memfwd/internal/core"
-	"memfwd/internal/fault"
 	"memfwd/internal/mem"
 	"memfwd/internal/sim"
 )
 
 // proxy is the rebindable machine an app session's runner executes
-// against. It delegates every app.Machine operation to the current
+// against. It passes every app.Machine operation to the current
 // *sim.Machine and charges the four guest-visible heap operations
 // (loads, stores, mallocs, frees) against the session's gate — the
 // same operations the chaos Relocator advances its clock on, so one
-// /step unit means one guest operation in both accountings.
+// /step unit means one guest operation in both accountings. Machine
+// state the guest installs (the trap handler, a fault injector) lives
+// on the machine and travels with snapshots.
 //
 // swap rebinds the proxy to a different machine. It may only be called
 // while the runner is parked (gate.pause): the write happens under the
-// gate mutex, and the parked runner's next read of p.m follows its
-// re-acquisition of that mutex inside tick, which establishes the
+// gate mutex, and the parked runner's next read of the machine follows
+// its re-acquisition of that mutex inside tick, which establishes the
 // happens-before edge. Operations that do not tick (the relocation
 // primitives TryRelocate is built from — UnforwardedRead/Write, Inst,
 // Forwarder) run only between ticks on the runner goroutine, so they
 // are ordered the same way; a relocation is therefore atomic with
 // respect to migration.
 type proxy struct {
+	app.Interceptor
 	g *gate
-	m *sim.Machine
+	m *sim.Machine // the Interceptor's machine, typed
 }
 
-var _ app.Machine = (*proxy)(nil)
-
-func newProxy(g *gate, m *sim.Machine) *proxy { return &proxy{g: g, m: m} }
+func newProxy(g *gate, m *sim.Machine) *proxy {
+	p := &proxy{g: g, m: m}
+	p.Interceptor = app.NewInterceptor(m, p)
+	return p
+}
 
 // swap rebinds the proxy; the runner must be parked (see type doc).
 func (p *proxy) swap(m *sim.Machine) {
 	p.g.mu.Lock()
 	p.m = m
+	p.Machine = m
 	p.g.mu.Unlock()
 }
 
@@ -47,9 +51,6 @@ func (p *proxy) machine() *sim.Machine {
 	defer p.g.mu.Unlock()
 	return p.m
 }
-
-// Inst delegates; timing only, not a counted guest operation.
-func (p *proxy) Inst(n int) { p.m.Inst(n) }
 
 // Load is a counted guest operation.
 func (p *proxy) Load(a mem.Addr, size uint) uint64 {
@@ -63,60 +64,6 @@ func (p *proxy) Store(a mem.Addr, v uint64, size uint) {
 	p.m.Store(a, v, size)
 }
 
-// LoadWord routes through Load.
-func (p *proxy) LoadWord(a mem.Addr) uint64 { return p.Load(a, 8) }
-
-// StoreWord routes through Store.
-func (p *proxy) StoreWord(a mem.Addr, v uint64) { p.Store(a, v, 8) }
-
-// LoadPtr routes through Load.
-func (p *proxy) LoadPtr(a mem.Addr) mem.Addr { return mem.Addr(p.Load(a, 8)) }
-
-// StorePtr routes through Store.
-func (p *proxy) StorePtr(a, q mem.Addr) { p.Store(a, uint64(q), 8) }
-
-// Load32 routes through Load.
-func (p *proxy) Load32(a mem.Addr) uint32 { return uint32(p.Load(a, 4)) }
-
-// Store32 routes through Store.
-func (p *proxy) Store32(a mem.Addr, v uint32) { p.Store(a, uint64(v), 4) }
-
-// Load16 routes through Load.
-func (p *proxy) Load16(a mem.Addr) uint16 { return uint16(p.Load(a, 2)) }
-
-// Store16 routes through Store.
-func (p *proxy) Store16(a mem.Addr, v uint16) { p.Store(a, uint64(v), 2) }
-
-// Load8 routes through Load.
-func (p *proxy) Load8(a mem.Addr) uint8 { return uint8(p.Load(a, 1)) }
-
-// Store8 routes through Store.
-func (p *proxy) Store8(a mem.Addr, v uint8) { p.Store(a, uint64(v), 1) }
-
-// Prefetch delegates (timing only).
-func (p *proxy) Prefetch(a mem.Addr, lines int) { p.m.Prefetch(a, lines) }
-
-// ReadFBit delegates (relocation primitive; not counted).
-func (p *proxy) ReadFBit(a mem.Addr) bool { return p.m.ReadFBit(a) }
-
-// UnforwardedRead delegates (relocation primitive; not counted).
-func (p *proxy) UnforwardedRead(a mem.Addr) (uint64, bool) { return p.m.UnforwardedRead(a) }
-
-// UnforwardedWrite delegates (relocation primitive; not counted).
-func (p *proxy) UnforwardedWrite(a mem.Addr, v uint64, fbit bool) {
-	p.m.UnforwardedWrite(a, v, fbit)
-}
-
-// FinalAddr delegates.
-func (p *proxy) FinalAddr(a mem.Addr) mem.Addr { return p.m.FinalAddr(a) }
-
-// PtrEqual delegates.
-func (p *proxy) PtrEqual(a, b mem.Addr) bool { return p.m.PtrEqual(a, b) }
-
-// SetTrap delegates; the handler is machine state and travels with
-// snapshots (sim.SaveState carries it verbatim).
-func (p *proxy) SetTrap(h core.TrapHandler) { p.m.SetTrap(h) }
-
 // Malloc is a counted guest operation.
 func (p *proxy) Malloc(n uint64) mem.Addr {
 	p.g.tick()
@@ -129,43 +76,11 @@ func (p *proxy) Free(a mem.Addr) {
 	p.m.Free(a)
 }
 
-// Allocator delegates.
-func (p *proxy) Allocator() *mem.Allocator { return p.m.Allocator() }
-
-// Memory delegates.
-func (p *proxy) Memory() *mem.Memory { return p.m.Memory() }
-
-// Forwarder delegates.
-func (p *proxy) Forwarder() *core.Forwarder { return p.m.Forwarder() }
-
-// LineSize delegates.
-func (p *proxy) LineSize() int { return p.m.LineSize() }
-
-// FaultInjector delegates.
-func (p *proxy) FaultInjector() *fault.Injector { return p.m.FaultInjector() }
-
-// SetFaultInjector delegates; an installed injector travels with
-// snapshots (sim.LoadState re-installs it on the restored machine).
-func (p *proxy) SetFaultInjector(in *fault.Injector) { p.m.SetFaultInjector(in) }
-
-// Site delegates.
-func (p *proxy) Site(name string) int { return p.m.Site(name) }
-
-// SetSite delegates.
-func (p *proxy) SetSite(id int) { p.m.SetSite(id) }
-
-// PhaseBegin delegates.
-func (p *proxy) PhaseBegin(name string) { p.m.PhaseBegin(name) }
-
-// PhaseEnd delegates.
-func (p *proxy) PhaseEnd(name string) { p.m.PhaseEnd(name) }
-
-// TraceRelocate delegates.
-func (p *proxy) TraceRelocate(src, tgt mem.Addr, nWords int) { p.m.TraceRelocate(src, tgt, nWords) }
-
 // SetHart forwards to the current machine, so a scheduling group built
 // over the proxy keeps bracketing relocator-hart steps correctly after
-// a live migration swaps the machine underneath it.
+// a live migration swaps the machine underneath it. The group finds
+// the proxy — not the machine, which migration replaces — because As
+// stops at the outermost implementor.
 func (p *proxy) SetHart(i int) { p.m.SetHart(i) }
 
 // HartCount forwards to the current machine.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -915,14 +914,10 @@ func (sv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// scrub maps NaN/Inf to 0 so every computed gauge the server exposes is
-// JSON-encodable and monitoring-safe, whatever the denominators were.
-func scrub(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
+// scrub maps NaN/Inf to 0 (obs.Finite) so every computed gauge the
+// server exposes is JSON-encodable and monitoring-safe, whatever the
+// denominators were.
+var scrub = obs.Finite
 
 // MetricsSnapshot computes the /metrics gauge map (exported through the
 // handler; tests call it directly).
@@ -980,10 +975,11 @@ func (sv *Server) MetricsSnapshot() map[string]float64 {
 		"serve.ops":              float64(ops),
 		"serve.events":           float64(events),
 		"serve.events.dropped":   float64(drops),
-		// Computed ratios: zero denominators scrub to 0, never NaN/Inf.
-		"serve.ops_per_session":      scrub(float64(ops) / float64(created)),
-		"serve.sessions_per_shard":   scrub(float64(active) / float64(len(sv.shards))),
-		"serve.events.drop_fraction": scrub(float64(drops) / float64(events)),
+		// Computed ratios: zero denominators scrub to 0 (below), never
+		// NaN/Inf.
+		"serve.ops_per_session":      float64(ops) / float64(created),
+		"serve.sessions_per_shard":   float64(active) / float64(len(sv.shards)),
+		"serve.events.drop_fraction": float64(drops) / float64(events),
 		// Tiering, aggregated over live tiered sessions (all 0 when none).
 		"serve.tier.sessions":       float64(tierSessions),
 		"serve.tier.wakes":          float64(tierAgg.Stats.Wakes),

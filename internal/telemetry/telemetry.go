@@ -21,7 +21,6 @@ package telemetry
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -155,22 +154,13 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// clean maps NaN/Inf to 0, matching the obs table/JSON formatting
-// policy (encoding/json rejects non-finite values outright).
-func clean(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	snap := s.metrics
 	s.mu.RUnlock()
 	vals := make(map[string]float64, len(snap)+3)
 	for _, mv := range snap {
-		vals[mv.Name] = clean(mv.Value)
+		vals[mv.Name] = obs.Finite(mv.Value)
 	}
 	// The hub's own health counters are always live, even between
 	// publishes.

@@ -27,15 +27,14 @@
 // decisively hot (PromoteMin), precisely because of that chain-walk
 // price.
 //
-// The Daemon wraps an app.Machine (the same interception pattern as
-// the chaos Relocator): it delegates every guest operation, counts
-// guest operations as its clock — no wall time anywhere, so runs are
-// deterministic and replay from a seed — and wakes every ~Every
-// operations to re-rank objects. Ranking input is an obs.HeatMap
-// (decayed per-object loads/stores plus the trap attribution the fprof
-// profiler keys off the same map) — either the machine's own map,
-// shared in, or a private map the daemon feeds from its interception
-// point.
+// The Daemon wraps an app.Machine through app.Interceptor, like the
+// chaos Relocator: it hooks the guest's data operations, counts them as
+// its clock — no wall time anywhere, so runs are deterministic and
+// replay from a seed — and wakes every ~Every operations to re-rank
+// objects. Ranking input is an obs.HeatMap (decayed per-object
+// loads/stores plus the trap attribution the fprof profiler keys off
+// the same map) — either the machine's own map, shared in, or a private
+// map the daemon feeds from its interception point.
 //
 // Every migration goes through the production opt.TryRelocate
 // two-phase commit, so online tiering inherits the whole safety story
@@ -212,7 +211,7 @@ type tracker struct {
 // for concurrent use; in the session server it lives under the same
 // gate that serializes the machine.
 type Daemon struct {
-	inner app.Machine
+	app.Interceptor
 	al    *mem.Allocator
 	tiers *mem.Tiers
 	cfg   Config
@@ -318,7 +317,6 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		cfg.IdleWakes = 16
 	}
 	d := &Daemon{
-		inner:    inner,
 		al:       inner.Allocator(),
 		tiers:    mem.NewTiers(cfg.Tiers),
 		cfg:      cfg,
@@ -329,6 +327,7 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		track:    make(map[mem.Addr]tracker),
 		patience: cfg.IdleWakes,
 	}
+	d.Interceptor = app.NewInterceptor(inner, d)
 	if d.heat == nil {
 		// Sized for whole-heap coverage: residency policy treats an
 		// untracked block as unknowable, so a telemetry-sized table
@@ -361,7 +360,7 @@ func (d *Daemon) Tiers() *mem.Tiers { return d.tiers }
 // allocator is machine state and does not. Call with the machine
 // quiesced, after the swap.
 func (d *Daemon) Rebind() {
-	d.al = d.inner.Allocator()
+	d.al = d.Machine.Allocator()
 	d.al.Place = d.place
 }
 
@@ -518,12 +517,12 @@ func (d *Daemon) wake() {
 	}
 	d.fired = true
 	d.inWake = true
-	d.inner.SetTrap(nil)
+	d.Machine.SetTrap(nil)
 	defer func() {
 		if d.ownHeat {
-			d.inner.SetTrap(d.trapTap)
+			d.Machine.SetTrap(d.trapTap)
 		} else {
-			d.inner.SetTrap(d.guestTrap)
+			d.Machine.SetTrap(d.guestTrap)
 		}
 		d.inWake = false
 	}()
@@ -758,93 +757,44 @@ func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
 // forward from its journal — the crash-consistency guarantee applied
 // to online migration.
 func (d *Daemon) tryRelocate(base, tgt mem.Addr, words int) error {
-	inj := d.inner.FaultInjector()
+	inj := d.Machine.FaultInjector()
 	if inj == nil {
-		return opt.TryRelocate(d.inner, base, tgt, words)
+		return opt.TryRelocate(d.Machine, base, tgt, words)
 	}
 	err := func() (err error) {
 		defer fault.RecoverCrash(&err)
-		return opt.TryRelocate(d.inner, base, tgt, words)
+		return opt.TryRelocate(d.Machine, base, tgt, words)
 	}()
 	if err == nil {
 		return nil
 	}
-	if _, serr := fault.Scavenge(d.inner.Memory(), d.inner.Forwarder(), &inj.Journal, inj); serr != nil {
+	if _, serr := fault.Scavenge(d.Machine.Memory(), d.Machine.Forwarder(), &inj.Journal, inj); serr != nil {
 		panic(fmt.Sprintf("tier: scavenge of %#x after %q: %v", base, err, serr))
 	}
 	d.stats.Repaired++
 	return nil // rolled forward: the migration completed
 }
 
-// --- app.Machine interception ---------------------------------------
-
-// Inst delegates (timing only; does not advance the daemon clock).
-func (d *Daemon) Inst(n int) { d.inner.Inst(n) }
+// --- guest-operation interception -----------------------------------
+//
+// The daemon clock advances on the guest's data operations only; every
+// other app.Machine method reaches the inner machine through the
+// embedded app.Interceptor.
 
 // Load intercepts a load: clock tick, heat/residency attribution,
 // delegate.
 func (d *Daemon) Load(a mem.Addr, size uint) uint64 {
 	d.tick()
 	d.record(a, false)
-	return d.inner.Load(a, size)
+	return d.Machine.Load(a, size)
 }
 
 // Store intercepts a store symmetrically.
 func (d *Daemon) Store(a mem.Addr, v uint64, size uint) {
 	d.tick()
 	d.record(a, true)
-	d.inner.Store(a, v, size)
+	d.Machine.Store(a, v, size)
 }
-
-// LoadWord routes through Load.
-func (d *Daemon) LoadWord(a mem.Addr) uint64 { return d.Load(a, 8) }
-
-// StoreWord routes through Store.
-func (d *Daemon) StoreWord(a mem.Addr, v uint64) { d.Store(a, v, 8) }
-
-// LoadPtr routes through Load.
-func (d *Daemon) LoadPtr(a mem.Addr) mem.Addr { return mem.Addr(d.Load(a, 8)) }
-
-// StorePtr routes through Store.
-func (d *Daemon) StorePtr(a, p mem.Addr) { d.Store(a, uint64(p), 8) }
-
-// Load32 routes through Load.
-func (d *Daemon) Load32(a mem.Addr) uint32 { return uint32(d.Load(a, 4)) }
-
-// Store32 routes through Store.
-func (d *Daemon) Store32(a mem.Addr, v uint32) { d.Store(a, uint64(v), 4) }
-
-// Load16 routes through Load.
-func (d *Daemon) Load16(a mem.Addr) uint16 { return uint16(d.Load(a, 2)) }
-
-// Store16 routes through Store.
-func (d *Daemon) Store16(a mem.Addr, v uint16) { d.Store(a, uint64(v), 2) }
-
-// Load8 routes through Load.
-func (d *Daemon) Load8(a mem.Addr) uint8 { return uint8(d.Load(a, 1)) }
-
-// Store8 routes through Store.
-func (d *Daemon) Store8(a mem.Addr, v uint8) { d.Store(a, uint64(v), 1) }
-
-// Prefetch delegates.
-func (d *Daemon) Prefetch(a mem.Addr, lines int) { d.inner.Prefetch(a, lines) }
-
-// ReadFBit delegates.
-func (d *Daemon) ReadFBit(a mem.Addr) bool { return d.inner.ReadFBit(a) }
-
-// UnforwardedRead delegates.
-func (d *Daemon) UnforwardedRead(a mem.Addr) (uint64, bool) { return d.inner.UnforwardedRead(a) }
-
-// UnforwardedWrite delegates.
-func (d *Daemon) UnforwardedWrite(a mem.Addr, v uint64, fbit bool) {
-	d.inner.UnforwardedWrite(a, v, fbit)
-}
-
-// FinalAddr delegates.
-func (d *Daemon) FinalAddr(a mem.Addr) mem.Addr { return d.inner.FinalAddr(a) }
-
-// PtrEqual delegates.
-func (d *Daemon) PtrEqual(a, b mem.Addr) bool { return d.inner.PtrEqual(a, b) }
 
 // SetTrap records the guest handler (so wakes can mask it and the trap
 // tap can chain to it) and delegates — through the tap when the daemon
@@ -852,24 +802,18 @@ func (d *Daemon) PtrEqual(a, b mem.Addr) bool { return d.inner.PtrEqual(a, b) }
 func (d *Daemon) SetTrap(h core.TrapHandler) {
 	d.guestTrap = h
 	if d.ownHeat {
-		d.inner.SetTrap(d.trapTap)
+		d.Machine.SetTrap(d.trapTap)
 		return
 	}
-	d.inner.SetTrap(h)
+	d.Machine.SetTrap(h)
 }
-
-// FaultInjector delegates.
-func (d *Daemon) FaultInjector() *fault.Injector { return d.inner.FaultInjector() }
-
-// SetFaultInjector delegates.
-func (d *Daemon) SetFaultInjector(in *fault.Injector) { d.inner.SetFaultInjector(in) }
 
 // Malloc intercepts an allocation: clock tick, delegate with the spill
 // placement hook armed, feed the private heat map.
 func (d *Daemon) Malloc(n uint64) mem.Addr {
 	d.tick()
 	d.inMalloc = true
-	a := d.inner.Malloc(n)
+	a := d.Machine.Malloc(n)
 	d.inMalloc = false
 	if d.ownHeat {
 		d.heat.OnAlloc(uint64(a), n)
@@ -886,48 +830,8 @@ func (d *Daemon) Free(a mem.Addr) {
 	// history must not be charged to the newcomer.
 	delete(d.track, a)
 	d.tick()
-	d.inner.Free(a)
+	d.Machine.Free(a)
 	if d.ownHeat {
 		d.heat.OnFree(uint64(a))
-	}
-}
-
-// Allocator delegates.
-func (d *Daemon) Allocator() *mem.Allocator { return d.inner.Allocator() }
-
-// Memory delegates.
-func (d *Daemon) Memory() *mem.Memory { return d.inner.Memory() }
-
-// Forwarder delegates.
-func (d *Daemon) Forwarder() *core.Forwarder { return d.inner.Forwarder() }
-
-// LineSize delegates.
-func (d *Daemon) LineSize() int { return d.inner.LineSize() }
-
-// Site delegates.
-func (d *Daemon) Site(name string) int { return d.inner.Site(name) }
-
-// SetSite delegates.
-func (d *Daemon) SetSite(id int) { d.inner.SetSite(id) }
-
-// PhaseBegin delegates.
-func (d *Daemon) PhaseBegin(name string) { d.inner.PhaseBegin(name) }
-
-// PhaseEnd delegates.
-func (d *Daemon) PhaseEnd(name string) { d.inner.PhaseEnd(name) }
-
-// TraceRelocate delegates.
-func (d *Daemon) TraceRelocate(src, tgt mem.Addr, nWords int) {
-	d.inner.TraceRelocate(src, tgt, nWords)
-}
-
-// RelocationBarrier forwards opt.TryRelocate's concurrency barrier
-// inward, so a multi-hart scheduling group (internal/sched) beneath the
-// daemon drains conflicting in-flight relocations before a guest-level
-// relocation pass touches shared relocation state. The daemon's own
-// migrations call TryRelocate on d.inner and hit the group directly.
-func (d *Daemon) RelocationBarrier(src mem.Addr) {
-	if b, ok := d.inner.(interface{ RelocationBarrier(mem.Addr) }); ok {
-		b.RelocationBarrier(src)
 	}
 }

@@ -497,6 +497,33 @@ func TestDaemonSharedHeatMap(t *testing.T) {
 	}
 }
 
+// TestDaemonKeepsGuestSpans: with the daemon wrapped around a
+// span-recording machine, the span table records every committed
+// relocation — the guest's opt-pass moves, which reach TryRelocate
+// through the daemon, as well as the daemon's own migrations. A wrapper
+// that hides the machine's span table from TryRelocate loses the
+// guest's spans and keeps only its own.
+func TestDaemonKeepsGuestSpans(t *testing.T) {
+	tc := mem.DefaultTierConfig(2, 70)
+	m := sim.New(sim.Config{Tiers: tc})
+	spans := obs.NewSpanTable(0)
+	m.SetSpans(spans)
+	h := obs.NewHeatMap(1<<16, 0)
+	m.SetHeatMap(h)
+	d := New(m, Config{Tiers: tc, Seed: 1, Heat: h})
+	res := health.App.Run(d, app.Config{Opt: true, Seed: 1})
+
+	st := d.Stats()
+	if res.Relocated == 0 || st.Demotions == 0 {
+		t.Fatalf("run exercised too little: %d guest relocations, %d demotions", res.Relocated, st.Demotions)
+	}
+	committed, _, _ := spans.Outcomes()
+	if want := uint64(res.Relocated) + st.Demotions + st.Promotions; committed != want {
+		t.Fatalf("%d committed spans, want %d = %d guest relocations + %d demotions + %d promotions",
+			committed, want, res.Relocated, st.Demotions, st.Promotions)
+	}
+}
+
 // TestDaemonConfigValidation: a nil tier spec is a programming error.
 func TestDaemonConfigValidation(t *testing.T) {
 	defer func() {
