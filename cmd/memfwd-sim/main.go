@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"memfwd"
+	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
 	"memfwd/internal/exp"
 	"memfwd/internal/fault"
@@ -113,6 +114,10 @@ func main() {
 
 	if *tiers == 1 || *tiers < 0 {
 		fmt.Fprintln(os.Stderr, "memfwd-sim: -tiers wants 0 (flat) or >= 2")
+		os.Exit(2)
+	}
+	if *migrateEvery > agent.MaxEvery {
+		fmt.Fprintf(os.Stderr, "memfwd-sim: -migrate-every wants at most %d (got %d)\n", agent.MaxEvery, *migrateEvery)
 		os.Exit(2)
 	}
 
@@ -250,7 +255,7 @@ func main() {
 		// not just a telemetry-sized hot set.
 		heatObjs := 0
 		if tierSpec != nil {
-			heatObjs = 1 << 16
+			heatObjs = tier.HeatObjects
 		}
 		heat = memfwd.NewHeatMap(heatObjs, 0)
 		m.SetHeatMap(heat)

@@ -729,11 +729,6 @@ type TierRuns struct {
 // tierVariants is the per-app column order of the tiering experiment.
 var tierVariants = []Variant{VariantFlat, VariantStatic, VariantAdaptive}
 
-// tierFigureHeatObjects sizes the heat map each tiered cell shares
-// between its machine and its migrator: whole-heap coverage, because
-// the migrator refuses to demote blocks the map does not track.
-const tierFigureHeatObjects = 1 << 16
-
 // RunTiering executes the tiering experiment across all eight
 // applications through the engine.
 func RunTiering(o Options) *TierRuns {
@@ -770,7 +765,7 @@ func runTierCell(a App, v Variant, o Options) Run {
 	if inj := o.armFault(spec); inj != nil {
 		m.SetFaultInjector(inj)
 	}
-	h := NewHeatMap(tierFigureHeatObjects, 0)
+	h := NewHeatMap(tier.HeatObjects, 0)
 	m.SetHeatMap(h)
 	d := tier.New(m, tier.Config{
 		Tiers:   tc,

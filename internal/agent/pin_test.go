@@ -1,0 +1,124 @@
+package agent_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"memfwd/internal/apps/app"
+	"memfwd/internal/apps/health"
+	"memfwd/internal/apps/mst"
+	"memfwd/internal/mem"
+	"memfwd/internal/obs"
+	"memfwd/internal/oracle"
+	"memfwd/internal/sched"
+	"memfwd/internal/sim"
+	"memfwd/internal/tier"
+)
+
+// TestAgentDecisionsPinned runs health and mst under all three agents
+// at once — the chaos adversary with faults, over a faulted 2-hart
+// scheduling group — once on the functional oracle and once on a
+// 2-tier timing simulator with the tiering daemon between chaos and the
+// group, and pins every agent counter, the scheduler and daemon stats,
+// the simulator stats, the result and the heap digest to golden files.
+// Any change to what an agent draws, picks, or moves, or in what order,
+// shows up here. Regenerate with:
+//
+//	UPDATE_GOLDEN=1 go test -run TestAgentDecisionsPinned ./internal/agent
+func TestAgentDecisionsPinned(t *testing.T) {
+	for _, a := range []app.App{health.App, mst.App} {
+		cfg := app.Config{Seed: 11, Opt: true}
+		t.Run("oracle/"+a.Name, func(t *testing.T) {
+			checkPin(t, "oracle-"+a.Name, pinOracle(t, a, cfg))
+		})
+		t.Run("sim/"+a.Name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("timed half skipped in -short mode")
+			}
+			checkPin(t, "sim-"+a.Name, pinSim(t, a, cfg))
+		})
+	}
+}
+
+func pinOracle(t *testing.T, a app.App, cfg app.Config) string {
+	eff := sim.New(sim.Config{}).Config()
+	om := oracle.New(oracle.Config{LineSize: eff.LineSize, HeapBase: eff.HeapBase, HeapLimit: eff.HeapLimit})
+	grp, rel := pinStack(t, om, func(g app.Machine) app.Machine { return g })
+	res := a.Run(rel, cfg)
+	grp.Quiesce()
+	var b strings.Builder
+	pinCommon(t, &b, res, om, rel, grp)
+	return b.String()
+}
+
+func pinSim(t *testing.T, a app.App, cfg app.Config) string {
+	tc := mem.DefaultTierConfig(2, sim.DefaultConfig().MemLatency)
+	m := sim.New(sim.Config{Harts: 2, Tiers: tc})
+	heat := obs.NewHeatMap(1<<16, 0)
+	m.SetHeatMap(heat)
+	var d *tier.Daemon
+	grp, rel := pinStack(t, m, func(g app.Machine) app.Machine {
+		d = tier.New(g, tier.Config{Tiers: tc, Seed: 5, Heat: heat})
+		return d
+	})
+	res := a.Run(rel, cfg)
+	grp.Quiesce()
+	st := m.Finalize()
+	var b strings.Builder
+	pinCommon(t, &b, res, m, rel, grp)
+	fmt.Fprintf(&b, "tier    %+v\n", d.Stats())
+	fmt.Fprintf(&b, "sim     %+v\n", *st)
+	if err := oracle.CheckMachine(m); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// pinStack builds chaos(faults) over mid(faulted 2-hart group over m).
+func pinStack(t *testing.T, m app.Machine, mid func(app.Machine) app.Machine) (*sched.Group, *oracle.Relocator) {
+	grp, err := sched.New(m, sched.Config{Harts: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(grp.Close)
+	grp.EnableFaults()
+	rel := oracle.NewRelocator(mid(grp), 7, 0)
+	rel.EnableFaults(nil)
+	return grp, rel
+}
+
+func pinCommon(t *testing.T, b *strings.Builder, res app.Result, m app.Machine, rel *oracle.Relocator, grp *sched.Group) {
+	dig, err := oracle.DigestModuloForwarding(m.Memory(), m.Forwarder(), m.Allocator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(b, "result  %+v\n", res)
+	fmt.Fprintf(b, "digest  %#x\n", dig)
+	fmt.Fprintf(b, "chaos   relocations=%d lengthenings=%d probes=%d cyclic=%d injected=%d repaired=%d\n",
+		rel.Relocations, rel.Lengthenings, rel.Probes, rel.CyclicProbes, rel.FaultsInjected, rel.FaultsRepaired)
+	fmt.Fprintf(b, "sched   %+v\n", grp.Stats())
+}
+
+func checkPin(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1): %v", err)
+	}
+	if string(want) != got {
+		t.Errorf("agent decisions moved (%s):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}

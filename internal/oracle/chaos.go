@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 
+	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
-	"memfwd/internal/opt"
 )
 
 // Relocator is a seeded adversary implementing app.Machine: it wraps an
@@ -31,8 +31,6 @@ import (
 //     relocated again by appending a forwarding word at the current
 //     chain end, growing chains past the forwarder's HopLimit and into
 //     its false-alarm cycle-check path;
-//   - chain-head re-relocation: the original word is repointed at a
-//     fresh copy, orphaning the old one (what opt.Relocate does);
 //   - misaligned probe chains: forwarding words holding *misaligned*
 //     addresses, built for a specific byte offset and verified at that
 //     offset through the inner machine's full load path (Section 2.1:
@@ -52,23 +50,13 @@ type Relocator struct {
 	app.Interceptor
 	rng *rand.Rand
 
-	// Countdown in guest operations until the next chaos action.
-	countdown int
-	interval  int
+	clock agent.Clock
 
 	// Tracked guest blocks eligible for relocation (Malloc-intercepted,
-	// size-capped; arena and FragmentHeap blocks bypass Malloc and are
-	// deliberately not tracked). wordBudget bounds the episode's total
-	// relocated words so apps whose heaps are a few large tables (e.g.
-	// compress) get a handful of whole-table relocations rather than
-	// thousands.
-	blocks     []mem.Addr
-	maxBytes   uint64
-	maxBlocks  int
-	wordBudget int64
-
-	// Private target arena, strictly outside the guest heap.
-	arenaNext, arenaEnd mem.Addr
+	// size-capped), and the private target arena in slot 0, with the
+	// episode's relocated-word budget.
+	victims agent.Victims
+	arena   agent.Arena
 
 	guestTrap core.TrapHandler
 	inChaos   bool
@@ -94,28 +82,19 @@ var _ app.Machine = (*Relocator)(nil)
 
 // NewRelocator wraps inner with a chaos adversary seeded by seed.
 // interval is the mean number of guest operations between chaos
-// actions (0 takes a default of 64).
+// actions (0 takes a default of 64; at most agent.MaxEvery).
 func NewRelocator(inner app.Machine, seed int64, interval int) *Relocator {
 	if interval <= 0 {
 		interval = 64
 	}
-	_, heapEnd := inner.Allocator().Range()
-	arena := (heapEnd + 0xF_FFFF) &^ 0xF_FFFF // 1MB-aligned guard gap
 	r := &Relocator{
-		rng:        rand.New(rand.NewSource(seed)),
-		interval:   interval,
-		maxBytes:   1 << 19,
-		maxBlocks:  1 << 14,
-		wordBudget: 1 << 19,
-		arenaNext:  arena + 0x10_0000,
-		arenaEnd:   arena + 0x10_0000 + (1 << 28),
+		rng:   rand.New(rand.NewSource(seed)),
+		arena: agent.NewArena(inner.Allocator(), 0),
 	}
 	r.Interceptor = app.NewInterceptor(inner, r)
-	r.reload()
+	r.clock = agent.NewClock(interval, r.rng)
 	return r
 }
-
-func (r *Relocator) reload() { r.countdown = 1 + r.rng.Intn(2*r.interval) }
 
 // EnableFaults adds the fault-injection action to the repertoire: some
 // chaos actions then relocate a block with a deterministic fault armed
@@ -131,31 +110,14 @@ func (r *Relocator) EnableFaults(kinds []fault.Kind) {
 	r.faultKinds = kinds
 }
 
-// arenaTake bumps n bytes (word-rounded) off the private arena,
-// returning 0 when exhausted (the adversary then simply goes quiet).
-func (r *Relocator) arenaTake(n uint64) mem.Addr {
-	n = (n + mem.WordSize - 1) &^ uint64(mem.WordSize-1)
-	if r.arenaNext+mem.Addr(n) > r.arenaEnd {
-		return 0
-	}
-	a := r.arenaNext
-	r.arenaNext += mem.Addr(n)
-	return a
-}
-
 // tick runs before every intercepted guest operation and fires a chaos
-// action when the countdown expires. Actions run with the guest's trap
+// action when the clock expires. Actions run with the guest's trap
 // handler masked: the adversary models an agent outside the program,
 // and its own probe references must not invoke guest trap code.
 func (r *Relocator) tick() {
-	if r.inChaos {
+	if r.inChaos || !r.clock.Tick(r.rng) {
 		return
 	}
-	r.countdown--
-	if r.countdown > 0 {
-		return
-	}
-	r.reload()
 	r.inChaos = true
 	r.Machine.SetTrap(nil)
 	defer func() {
@@ -164,166 +126,101 @@ func (r *Relocator) tick() {
 	}()
 	switch n := r.rng.Intn(12); {
 	case n < 7:
-		r.relocateRandom()
+		r.relocate(false)
 	case n < 9:
 		r.probe(false)
 	case n < 10:
 		r.probe(true)
 	default:
-		if r.faults {
-			r.faultedRelocate()
-		} else {
-			r.relocateRandom()
-		}
+		r.relocate(r.faults)
 	}
 }
 
-// relocateRandom relocates one randomly chosen tracked block.
-func (r *Relocator) relocateRandom() {
-	if base := r.pickBlock(); base != 0 {
-		r.relocateBlock(base)
-	}
-}
-
-// pickBlock draws a random live tracked block (0 when none remain),
-// lazily dropping blocks freed outside our Free interception.
-func (r *Relocator) pickBlock() mem.Addr {
+// relocate moves one randomly chosen tracked block to a fresh arena
+// copy. agent.Relocate appends the new forwarding word at the *end* of
+// any existing chain — the Figure 4(a) rule, and the only legal form:
+// the program may hold direct pointers to the current final copy, so
+// the data must move from there (repointing the chain head instead is
+// a heap divergence the differential harness catches, DESIGN.md §7).
+// Re-relocating a moved block therefore lengthens its chain, driving
+// chains past HopLimit and into the false-alarm cycle check.
+//
+// A faulted relocation arms a freshly seeded private injector so the
+// fault is sure to fire inside the move — a crash at a random
+// instruction boundary, a bit flip on a copy or plant write, or a
+// spurious fbit transition — and, once agent.Relocate has rolled the
+// torn move forward, checks every copy against the block's pre-move
+// values with the machine's timed reads. The guest observes none of
+// it; the surrounding differential episode proves that end to end.
+func (r *Relocator) relocate(faulted bool) {
 	al := r.Machine.Allocator()
-	for len(r.blocks) > 0 {
-		i := r.rng.Intn(len(r.blocks))
-		base := r.blocks[i]
-		if !al.Live(base) {
-			r.blocks[i] = r.blocks[len(r.blocks)-1]
-			r.blocks = r.blocks[:len(r.blocks)-1]
-			continue
-		}
-		return base
+	base := r.victims.Pick(r.rng, al)
+	if base == 0 {
+		return
 	}
-	return 0
-}
-
-// relocateBlock moves the block at base to a fresh arena copy, word by
-// word, appending the new forwarding word at the *end* of any existing
-// chain — the Figure 4(a) rule, and the only legal form: the program
-// (or an opt pass acting for it) may hold direct pointers to the
-// current final copy, so the data must move from there and leave a
-// forwarding word behind there. (An earlier version of this adversary
-// also re-pointed the chain head directly at the new copy; the
-// differential harness immediately caught that as a heap divergence —
-// guest stores through direct pool pointers no longer reached the copy
-// being read back — which is itself a nice demonstration that the
-// harness rejects *illegal* relocations, not just buggy machinery.)
-// Re-relocating an already-moved block therefore lengthens its chain,
-// driving chains past HopLimit and into the false-alarm cycle check.
-func (r *Relocator) relocateBlock(base mem.Addr) {
-	size, ok := r.Machine.Allocator().SizeOf(base)
+	size, ok := al.SizeOf(base)
 	if !ok {
 		return
 	}
-	if r.wordBudget < int64(size/mem.WordSize) {
-		return
-	}
-	r.wordBudget -= int64(size / mem.WordSize)
-	tgt := r.arenaTake(size)
+	tgt := r.arena.Target(size)
 	if tgt == 0 {
 		return
 	}
-	// Untimed peek before the move: a first word that already forwards
-	// means this relocation lengthens an existing chain.
-	if r.Machine.Memory().FBit(base) {
+	words := int(size / mem.WordSize)
+	var (
+		want []uint64
+		inj  *fault.Injector
+		plan fault.Shot // the armed fault, for failure reports
+	)
+	if faulted {
+		want = r.values(base, words)
+		inj = fault.New(r.rng.Int63())
+		plan.Kind = r.faultKinds[r.rng.Intn(len(r.faultKinds))]
+		plan.Point, plan.Visit = r.armPoint(plan.Kind, words)
+		inj.Arm(plan.Kind, plan.Point, plan.Visit)
+	} else if r.Machine.Memory().FBit(base) {
+		// Untimed peek: a first word that already forwards means this
+		// relocation lengthens an existing chain.
 		r.Lengthenings++
 	}
-	// The move itself is the production two-phase commit — the adversary
-	// exercises exactly the code path the opt passes use, including its
-	// bounded chain-append walk.
-	if err := opt.TryRelocate(r.Machine, base, tgt, int(size/mem.WordSize)); err != nil {
-		panic(fmt.Sprintf("oracle: chaos relocation of %#x (%d words): %v", base, size/mem.WordSize, err))
+	repaired, err := agent.Relocate(r.Machine, base, tgt, words, inj)
+	if err != nil {
+		panic(fmt.Sprintf("oracle: chaos relocation of %#x (%d words): %v", base, words, err))
+	}
+	if inj.Fired() {
+		r.FaultsInjected++
+	}
+	if repaired {
+		r.FaultsRepaired++
+	}
+	if faulted {
+		// Completed or rolled forward, the outcome must be identical:
+		// each word lives at its copy with its old value.
+		if err := agent.CheckMoved(r.Machine.Forwarder(), base, tgt, words); err != nil {
+			panic(fmt.Sprintf("oracle: post-repair (%v): %v", plan, err))
+		}
+		for i, w := range r.values(tgt, words) { // the copies, which no longer forward
+			if w != want[i] {
+				panic(fmt.Sprintf("oracle: post-repair word %d of %#x = %#x, want %#x (%v)", i, base, w, want[i], plan))
+			}
+		}
 	}
 	r.Relocations++
 }
 
-// faultedRelocate relocates a random tracked block with a freshly
-// seeded fault injector armed so the fault is guaranteed to fire
-// inside the relocation: a crash at a random instruction boundary, a
-// bit flip on a copy or plant write, or a spurious fbit transition.
-// Any induced crash is recovered, the torn relocation is repaired from
-// its journal (fault.Scavenge), and the repair is verified word by
-// word: every source word must resolve to its new copy holding its
-// pre-relocation value. The guest observes none of it — the
-// surrounding differential episode then proves results and heap digest
-// unchanged.
-func (r *Relocator) faultedRelocate() {
-	base := r.pickBlock()
-	if base == 0 {
-		return
-	}
-	size, ok := r.Machine.Allocator().SizeOf(base)
-	if !ok {
-		return
-	}
-	words := int(size / mem.WordSize)
-	if words == 0 || r.wordBudget < int64(words) {
-		return
-	}
-	r.wordBudget -= int64(words)
-	tgt := r.arenaTake(size)
-	if tgt == 0 {
-		return
-	}
-
-	// Record pre-relocation values (through any existing chains) to
-	// verify the repair against.
+// values reads the words words of the block at base through any
+// forwarding chains, each with the machine's timed Unforwarded_Read.
+func (r *Relocator) values(base mem.Addr, words int) []uint64 {
 	fwd := r.Machine.Forwarder()
-	want := make([]uint64, words)
-	for i := range want {
+	vs := make([]uint64, words)
+	for i := range vs {
 		final, _, err := fwd.Resolve(base+mem.Addr(i*mem.WordSize), nil)
 		if err != nil {
 			panic(fmt.Sprintf("oracle: faulted relocation of %#x: %v", base, err))
 		}
-		want[i], _ = r.Machine.UnforwardedRead(mem.WordAlign(final))
+		vs[i], _ = r.Machine.UnforwardedRead(mem.WordAlign(final))
 	}
-
-	inj := fault.New(r.rng.Int63())
-	kind := r.faultKinds[r.rng.Intn(len(r.faultKinds))]
-	point, visit := r.armPoint(kind, words)
-	inj.Arm(kind, point, visit)
-	prev := r.Machine.FaultInjector()
-	r.Machine.SetFaultInjector(inj)
-	err := func() (err error) {
-		defer fault.RecoverCrash(&err)
-		return opt.TryRelocate(r.Machine, base, tgt, words)
-	}()
-	r.Machine.SetFaultInjector(prev)
-	if inj.Fired() {
-		r.FaultsInjected++
-	}
-	if err != nil {
-		if _, serr := fault.Scavenge(r.Machine.Memory(), fwd, &inj.Journal, inj); serr != nil {
-			panic(fmt.Sprintf("oracle: scavenge of %#x after %q (%s@%s:%d): %v",
-				base, err, kind, point, visit, serr))
-		}
-		r.FaultsRepaired++
-	}
-
-	// Completed or rolled forward, the outcome must be identical: each
-	// word lives at its copy with its old value.
-	for i := range want {
-		s := base + mem.Addr(i*mem.WordSize)
-		d := tgt + mem.Addr(i*mem.WordSize)
-		final, _, rerr := fwd.Resolve(s, nil)
-		if rerr != nil {
-			panic(fmt.Sprintf("oracle: post-repair resolve of %#x (%s@%s:%d): %v", s, kind, point, visit, rerr))
-		}
-		if mem.WordAlign(final) != d {
-			panic(fmt.Sprintf("oracle: post-repair %#x resolves to %#x, want %#x (%s@%s:%d)",
-				s, final, d, kind, point, visit))
-		}
-		if v, fb := r.Machine.UnforwardedRead(d); fb || v != want[i] {
-			panic(fmt.Sprintf("oracle: post-repair word %d of %#x = %#x (fbit=%v), want %#x (%s@%s:%d)",
-				i, base, v, fb, want[i], kind, point, visit))
-		}
-	}
-	r.Relocations++
+	return vs
 }
 
 // armPoint draws a fault point and a visit count that guarantees the
@@ -331,17 +228,7 @@ func (r *Relocator) faultedRelocate() {
 func (r *Relocator) armPoint(kind fault.Kind, words int) (fault.Point, int) {
 	if kind == fault.Crash {
 		// A crash can strike any instruction boundary.
-		points := []fault.Point{
-			fault.RelocateBegin, fault.RelocateCopied, fault.RelocateVerify,
-			fault.RelocatePlant, fault.RelocateEnd, fault.CopyWrite, fault.PlantWrite,
-		}
-		p := points[r.rng.Intn(len(points))]
-		switch p {
-		case fault.RelocateCopied, fault.RelocatePlant, fault.CopyWrite, fault.PlantWrite:
-			return p, 1 + r.rng.Intn(words)
-		default:
-			return p, 1
-		}
+		return agent.CrashPoint(r.rng, words, true)
 	}
 	// Write corruptions fire only on the write path; the relocation
 	// performs exactly `words` copy writes and `words` plant writes.
@@ -373,7 +260,7 @@ func (r *Relocator) misalignedDelta(off mem.Addr) int64 {
 func (r *Relocator) probe(cyclic bool) {
 	off := mem.Addr(1 + r.rng.Intn(7))
 	k := 1 + r.rng.Intn(3)
-	base := r.arenaTake(uint64(k+1) * mem.WordSize)
+	base := r.arena.Take(uint64(k+1) * mem.WordSize)
 	if base == 0 {
 		return
 	}
@@ -446,21 +333,15 @@ func (r *Relocator) SetTrap(h core.TrapHandler) {
 func (r *Relocator) Malloc(n uint64) mem.Addr {
 	r.tick()
 	a := r.Machine.Malloc(n)
-	if n <= r.maxBytes && len(r.blocks) < r.maxBlocks {
-		r.blocks = append(r.blocks, a)
+	if n <= agent.MaxBlockBytes {
+		r.victims.Add(a)
 	}
 	return a
 }
 
 // Free intercepts a deallocation: untrack, possibly act, delegate.
 func (r *Relocator) Free(a mem.Addr) {
-	for i, b := range r.blocks {
-		if b == a {
-			r.blocks[i] = r.blocks[len(r.blocks)-1]
-			r.blocks = r.blocks[:len(r.blocks)-1]
-			break
-		}
-	}
+	r.victims.Remove(a)
 	r.tick()
 	r.Machine.Free(a)
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"memfwd/internal/agent"
 	"memfwd/internal/mem"
 )
 
@@ -39,12 +40,12 @@ func (g *Group) Cursor() Cursor {
 	}
 	return Cursor{
 		RngState:   g.rng.state,
-		Countdown:  g.countdown,
+		Countdown:  g.clock.Countdown,
 		GuestHart:  g.guestHart,
-		WordBudget: g.wordBudget,
-		ArenaNext:  g.arenaNext,
-		ArenaEnd:   g.arenaEnd,
-		Blocks:     append([]mem.Addr(nil), g.blocks...),
+		WordBudget: g.arena.Budget,
+		ArenaNext:  g.arena.Next,
+		ArenaEnd:   g.arena.End,
+		Blocks:     append([]mem.Addr(nil), g.victims...),
 		Faults:     g.faults,
 		Stats:      g.stats,
 	}
@@ -62,11 +63,9 @@ func (g *Group) SetCursor(c Cursor) error {
 		return fmt.Errorf("sched: cursor guest hart %d out of range (harts=%d)", c.GuestHart, g.cfg.Harts)
 	}
 	g.rng.state = c.RngState
-	g.countdown = c.Countdown
-	g.wordBudget = c.WordBudget
-	g.arenaNext = c.ArenaNext
-	g.arenaEnd = c.ArenaEnd
-	g.blocks = append(g.blocks[:0], c.Blocks...)
+	g.clock.Countdown = c.Countdown
+	g.arena = agent.Arena{Next: c.ArenaNext, End: c.ArenaEnd, Budget: c.WordBudget}
+	g.victims = append(g.victims[:0], c.Blocks...)
 	g.faults = c.Faults
 	g.stats = c.Stats
 	g.SetGuestHart(c.GuestHart)

@@ -8,8 +8,8 @@ import (
 )
 
 // Guest-operation interception. Scheduling points (point) fire at the
-// guest's *data* operations — loads, stores, malloc, free — matching
-// the chaos Relocator's interception sites; every other app.Machine
+// guest's *data* operations — loads, stores, malloc, free — the same
+// sites every agent's clock counts; every other app.Machine
 // method reaches the inner machine through the embedded
 // app.Interceptor. The ISA-extension primitives (ReadFBit,
 // UnforwardedRead/Write, FinalAddr) and Inst deliberately take no
@@ -45,9 +45,7 @@ func (g *Group) Malloc(n uint64) mem.Addr {
 			panic(fmt.Sprintf("sched: malloc %#x+%#x overlaps in-flight relocation of %#x", a, n, h.job.src))
 		}
 	}
-	if a != 0 && len(g.blocks) < g.maxBlocks {
-		g.blocks = append(g.blocks, a)
-	}
+	g.victims.Add(a)
 	return a
 }
 

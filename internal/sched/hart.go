@@ -22,9 +22,7 @@ type job struct {
 	src, tgt mem.Addr
 	words    int
 	inj      *fault.Injector
-	kind     fault.Kind
-	point    fault.Point
-	visit    int
+	plan     fault.Shot // the armed fault, for failure reports
 }
 
 // hart is one relocator hart: a coroutine that runs relocation jobs

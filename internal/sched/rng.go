@@ -19,9 +19,10 @@ func (p *prng) next() uint64 {
 	return z
 }
 
-// intn returns a value in [0, n). n must be positive. The tiny modulo
-// bias is irrelevant for scheduling draws and keeps the draw count per
-// decision fixed at one, which the replay contract depends on.
-func (p *prng) intn(n int) int {
+// Intn returns a value in [0, n) — the agent.Rand draw. n must be
+// positive. The tiny modulo bias is irrelevant for scheduling draws and
+// keeps the draw count per decision fixed at one, which the replay
+// contract depends on.
+func (p *prng) Intn(n int) int {
 	return int(p.next() % uint64(n))
 }

@@ -31,11 +31,11 @@ package sched
 import (
 	"fmt"
 
+	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
-	"memfwd/internal/opt"
 )
 
 // Config parameterizes a Group.
@@ -50,14 +50,9 @@ type Config struct {
 	Seed int64
 
 	// Interval is the mean number of guest operations between job
-	// launches (0 takes 64, the chaos Relocator's default cadence).
+	// launches (0 takes 64; at most agent.MaxEvery). Jobs move blocks
+	// of at most agent.MaxBlockBytes, within the arena's word budget.
 	Interval int
-
-	// MaxBlockBytes caps the size of blocks eligible for relocation
-	// jobs; WordBudget bounds the total words relocated over the
-	// group's lifetime (defaults match the chaos Relocator).
-	MaxBlockBytes uint64
-	WordBudget    int64
 }
 
 // Stats is the group's accounting.
@@ -96,17 +91,14 @@ type Group struct {
 	rng prng
 
 	harts     []*hart
-	countdown int
+	clock     agent.Clock
 	guestHart int
 
-	blocks     []mem.Addr
-	maxBlocks  int
-	wordBudget int64
-
-	arenaNext, arenaEnd mem.Addr
+	victims agent.Victims
+	arena   agent.Arena // slot 1, above the chaos adversary's slot 0
 
 	faults    bool
-	forced    *job // InjectNext's pending plan
+	forced    *fault.Shot // InjectNext's pending plan
 	inService bool
 	closed    bool
 
@@ -126,17 +118,10 @@ func New(inner app.Machine, cfg Config) (*Group, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 64
 	}
-	if cfg.MaxBlockBytes == 0 {
-		cfg.MaxBlockBytes = 1 << 19
-	}
-	if cfg.WordBudget == 0 {
-		cfg.WordBudget = 1 << 19
-	}
 	g := &Group{
-		cfg:        cfg,
-		rng:        prng{state: uint64(cfg.Seed)},
-		maxBlocks:  1 << 14,
-		wordBudget: cfg.WordBudget,
+		cfg:   cfg,
+		rng:   prng{state: uint64(cfg.Seed)},
+		arena: agent.NewArena(inner.Allocator(), 1),
 	}
 	g.Interceptor = app.NewInterceptor(inner, g)
 	if hs, ok := app.As[hartSwitcher](inner); ok {
@@ -145,17 +130,10 @@ func New(inner app.Machine, cfg Config) (*Group, error) {
 		}
 		g.hs = hs
 	}
-	// Private relocation arena, above the guest heap AND above the
-	// chaos Relocator's region (both size from the same heap end), so
-	// the two adversaries can stack without colliding.
-	_, heapEnd := inner.Allocator().Range()
-	base := (heapEnd+0xF_FFFF)&^0xF_FFFF + 0x10_0000 + (1 << 28) + 0x10_0000
-	g.arenaNext = base
-	g.arenaEnd = base + (1 << 28)
+	g.clock = agent.NewClock(cfg.Interval, &g.rng)
 	for i := 1; i < cfg.Harts; i++ {
 		g.harts = append(g.harts, newHart(g, i))
 	}
-	g.reload()
 	return g, nil
 }
 
@@ -177,11 +155,8 @@ func (g *Group) EnableFaults() { g.faults = true }
 // fault.Crash; visit counts above the job's word count simply never
 // fire.
 func (g *Group) InjectNext(kind fault.Kind, p fault.Point, visit int) {
-	g.forced = &job{kind: kind, point: p, visit: visit}
+	g.forced = &fault.Shot{Kind: kind, Point: p, Visit: visit}
 }
-
-// reload draws the next launch countdown.
-func (g *Group) reload() { g.countdown = 1 + g.rng.intn(2*g.cfg.Interval) }
 
 // point runs at every intercepted guest operation: maybe launch a job,
 // then grant a seeded burst of service steps to in-flight jobs.
@@ -191,9 +166,7 @@ func (g *Group) point() {
 	}
 	g.inService = true
 	defer func() { g.inService = false }()
-	g.countdown--
-	if g.countdown <= 0 {
-		g.reload()
+	if g.clock.Tick(&g.rng) {
 		g.launch()
 	}
 	for i := 0; i < maxGrantsPerPoint; i++ {
@@ -201,7 +174,7 @@ func (g *Group) point() {
 		if h == nil {
 			return
 		}
-		if g.rng.intn(3) == 0 {
+		if g.rng.Intn(3) == 0 {
 			return
 		}
 		g.svcStep(h)
@@ -232,7 +205,7 @@ func (g *Group) pickBusy() *hart {
 	if n == 0 {
 		return nil
 	}
-	k := g.rng.intn(n)
+	k := g.rng.Intn(n)
 	for _, h := range g.harts {
 		if h.job != nil && !h.dead {
 			if k == 0 {
@@ -283,7 +256,7 @@ func (g *Group) launch() {
 	if nIdle == 0 {
 		return
 	}
-	k := g.rng.intn(nIdle)
+	k := g.rng.Intn(nIdle)
 	for _, h := range g.harts {
 		if h.job == nil && !h.dead {
 			if k == 0 {
@@ -293,74 +266,36 @@ func (g *Group) launch() {
 			k--
 		}
 	}
-	base := g.pickBlock()
+	al := g.Machine.Allocator()
+	base := g.victims.Pick(&g.rng, al)
 	if base == 0 || g.busyOn(base) {
 		return
 	}
-	size, ok := g.Machine.Allocator().SizeOf(base)
-	if !ok || size > g.cfg.MaxBlockBytes {
+	size, ok := al.SizeOf(base)
+	if !ok || size > agent.MaxBlockBytes {
 		return
 	}
-	words := int(size / mem.WordSize)
-	if words == 0 || g.wordBudget < int64(words) {
-		return
-	}
-	tgt := g.arenaTake(size)
+	tgt := g.arena.Target(size)
 	if tgt == 0 {
 		return
 	}
-	g.wordBudget -= int64(words)
-
+	words := int(size / mem.WordSize)
 	jb := &job{src: base, tgt: tgt, words: words}
 	switch {
 	case inFlight > 0:
 		// Not alone: launch clean (see the exclusivity rule above). A
 		// forced injection stays armed for the next solo launch.
 	case g.forced != nil:
-		jb.kind, jb.point, jb.visit = g.forced.kind, g.forced.point, g.forced.visit
-		jb.inj = fault.New(int64(g.rng.next()>>1)).Arm(jb.kind, jb.point, jb.visit)
-		g.forced = nil
+		jb.plan, g.forced = *g.forced, nil
+		jb.inj = fault.New(int64(g.rng.next()>>1)).Arm(jb.plan.Kind, jb.plan.Point, jb.plan.Visit)
 		g.stats.Faulted++
-	case g.faults && g.rng.intn(4) == 0:
-		jb.kind = fault.Crash
-		jb.point, jb.visit = g.armCrash(words)
-		jb.inj = fault.New(int64(g.rng.next()>>1)).Arm(jb.kind, jb.point, jb.visit)
+	case g.faults && g.rng.Intn(4) == 0:
+		jb.plan.Kind = fault.Crash
+		jb.plan.Point, jb.plan.Visit = agent.CrashPoint(&g.rng, words, false)
+		jb.inj = fault.New(int64(g.rng.next()>>1)).Arm(jb.plan.Kind, jb.plan.Point, jb.plan.Visit)
 		g.stats.Faulted++
 	}
 	idle.job = jb
-}
-
-// armCrash draws a crash point and a visit count within a words-long
-// relocation's boundary steps.
-func (g *Group) armCrash(words int) (fault.Point, int) {
-	points := []fault.Point{
-		fault.RelocateBegin, fault.RelocateCopied, fault.RelocateVerify,
-		fault.RelocatePlant, fault.RelocateEnd,
-	}
-	p := points[g.rng.intn(len(points))]
-	switch p {
-	case fault.RelocateCopied, fault.RelocatePlant:
-		return p, 1 + g.rng.intn(words)
-	default:
-		return p, 1
-	}
-}
-
-// pickBlock draws a live tracked block (0 when none), lazily dropping
-// dead ones — the same policy as the chaos Relocator.
-func (g *Group) pickBlock() mem.Addr {
-	al := g.Machine.Allocator()
-	for len(g.blocks) > 0 {
-		i := g.rng.intn(len(g.blocks))
-		base := g.blocks[i]
-		if !al.Live(base) {
-			g.blocks[i] = g.blocks[len(g.blocks)-1]
-			g.blocks = g.blocks[:len(g.blocks)-1]
-			continue
-		}
-		return base
-	}
-	return 0
 }
 
 // busyOn reports whether some in-flight job is relocating base.
@@ -373,80 +308,32 @@ func (g *Group) busyOn(base mem.Addr) bool {
 	return false
 }
 
-// arenaTake bumps n word-rounded bytes off the private arena (0 when
-// exhausted; the group then goes quiet, like the chaos arena).
-func (g *Group) arenaTake(n uint64) mem.Addr {
-	n = (n + mem.WordSize - 1) &^ uint64(mem.WordSize-1)
-	if g.arenaNext+mem.Addr(n) > g.arenaEnd {
-		return 0
-	}
-	a := g.arenaNext
-	g.arenaNext += mem.Addr(n)
-	return a
-}
-
-// runJob executes one job inside a hart coroutine: the production
-// two-phase commit through the yield-instrumented machine view, crash
-// recovery and journal roll-forward on failure, and a structural
-// post-check. It runs interleaved with the guest; only the code
-// between two yields is atomic.
+// runJob executes one job inside a hart coroutine: agent.Relocate
+// through the yield-instrumented machine view, interleaved with the
+// guest (only the code between two yields is atomic), then a
+// structural post-check. A faulted job owns the machine's injector
+// slot and journal for its whole duration; the RelocationBarrier
+// drains it before anyone else journals. The roll-forward runs on raw
+// memory without yields — the stop-the-world recovery pass of
+// DESIGN.md §8.
 func (g *Group) runJob(h *hart) {
 	jb := h.job
-	hm := &hartMachine{Machine: g.Machine, h: h}
-
-	prev := g.Machine.FaultInjector()
-	inj := prev
-	if jb.inj != nil {
-		// A faulted job owns the machine's injector slot (and with it
-		// the journal) for its whole interleaved duration; the
-		// RelocationBarrier drains it before anyone else journals.
-		g.Machine.SetFaultInjector(jb.inj)
-		inj = jb.inj
-	}
-	err := func() (err error) {
-		defer fault.RecoverCrash(&err)
-		return opt.TryRelocate(hm, jb.src, jb.tgt, jb.words)
-	}()
-	if jb.inj != nil {
-		g.Machine.SetFaultInjector(prev)
-		if jb.inj.Fired() {
-			g.stats.Crashes++
-		}
-	}
+	repaired, err := agent.Relocate(&hartMachine{Machine: g.Machine, h: h}, jb.src, jb.tgt, jb.words, jb.inj)
 	if err != nil {
-		// Crash or torn detection: roll the relocation forward from its
-		// journal. Scavenge runs on raw memory with the injector
-		// suspended and executes here without yields, so the repair is
-		// atomic with respect to the guest — exactly the stop-the-world
-		// recovery pass DESIGN.md §8 describes.
-		if inj == nil {
-			panic(fmt.Sprintf("sched: relocation of %#x (%d words): %v", jb.src, jb.words, err))
-		}
-		if _, serr := fault.Scavenge(g.Machine.Memory(), g.Machine.Forwarder(), &inj.Journal, inj); serr != nil {
-			panic(fmt.Sprintf("sched: scavenge of %#x after %q: %v", jb.src, err, serr))
-		}
+		panic(fmt.Sprintf("sched: relocation of %#x (%d words): %v", jb.src, jb.words, err))
+	}
+	if jb.inj.Fired() {
+		g.stats.Crashes++
+	}
+	if repaired {
 		g.stats.Scavenges++
 	}
-
-	// Structural verification, valid under contention (racing mutator
-	// stores legally change *values*, which the surrounding
-	// differential harness checks end to end): every source word must
-	// resolve to its copy, and no copy may itself forward.
-	fwd := g.Machine.Forwarder()
-	for i := 0; i < jb.words; i++ {
-		s := jb.src + mem.Addr(i*mem.WordSize)
-		d := jb.tgt + mem.Addr(i*mem.WordSize)
-		final, _, rerr := fwd.Resolve(s, nil)
-		if rerr != nil {
-			panic(fmt.Sprintf("sched: post-job resolve of %#x: %v", s, rerr))
-		}
-		if mem.WordAlign(final) != d {
-			panic(fmt.Sprintf("sched: post-job %#x resolves to %#x, want %#x (job %#x->%#x %dw, fault %v@%v:%d fired=%v err=%v)",
-				s, final, d, jb.src, jb.tgt, jb.words, jb.kind, jb.point, jb.visit, jb.inj.Fired(), err))
-		}
-		if _, fb := fwd.UnforwardedRead(d); fb {
-			panic(fmt.Sprintf("sched: post-job copy %#x forwards", d))
-		}
+	// The check is untimed and yield-free: racing mutator stores
+	// legally change *values*, which the surrounding differential
+	// harness checks end to end.
+	if err := agent.CheckMoved(g.Machine.Forwarder(), jb.src, jb.tgt, jb.words); err != nil {
+		panic(fmt.Sprintf("sched: post-job %v (job %#x->%#x %dw, fault %v fired=%v repaired=%v)",
+			err, jb.src, jb.tgt, jb.words, jb.plan, jb.inj.Fired(), repaired))
 	}
 	g.stats.Relocations++
 }

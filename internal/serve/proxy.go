@@ -10,8 +10,8 @@ import (
 // against. It passes every app.Machine operation to the current
 // *sim.Machine and charges the four guest-visible heap operations
 // (loads, stores, mallocs, frees) against the session's gate — the
-// same operations the chaos Relocator advances its clock on, so one
-// /step unit means one guest operation in both accountings. Machine
+// same operations every agent clock counts, so one /step unit means
+// one guest operation in every accounting. Machine
 // state the guest installs (the trap handler, a fault injector) lives
 // on the machine and travels with snapshots.
 //

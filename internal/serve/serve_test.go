@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,30 @@ func TestRawOpValidation(t *testing.T) {
 	call(t, sv, "POST", "/sessions/"+info.ID+"/op", opRequest{Op: "malloc", Size: 64}, &res)
 	if res.Addr == 0 {
 		t.Fatal("session unusable after rejected ops")
+	}
+}
+
+// TestCreateBoundsAgentIntervals: the chaos, tier and scheduler
+// intervals are client input that each agent doubles into a draw
+// range, so one past agent.MaxEvery must fail the create cleanly (a 400
+// over HTTP), before any wrapper is built or hart goroutine started.
+func TestCreateBoundsAgentIntervals(t *testing.T) {
+	sv := New(Config{Shards: 1})
+	const huge = 1 << 62
+	for _, harts := range []int{0, 4} {
+		for _, req := range []createRequest{
+			{Mode: "health", Harts: harts, Chaos: true, ChaosInterval: huge},
+			{Mode: "health", Harts: harts, Tiers: 2, MigrateEvery: huge},
+			{Mode: "health", Harts: harts, SchedInterval: huge},
+		} {
+			before := runtime.NumGoroutine()
+			if _, err := sv.createSession(req); err == nil {
+				t.Errorf("create %+v succeeded, want error", req)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("create %+v: %d goroutines, want %d", req, after, before)
+			}
+		}
 	}
 }
 

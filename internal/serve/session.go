@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"memfwd"
+	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
@@ -14,11 +15,6 @@ import (
 	"memfwd/internal/sim"
 	"memfwd/internal/tier"
 )
-
-// tierHeatObjects sizes a tiered session's shared heat map: whole-heap
-// coverage, because the migrator refuses to demote blocks the map does
-// not track (same sizing as the CLI's -tiers path).
-const tierHeatObjects = 1 << 16
 
 // arenaRegionBytes is the relocation-target address space one shard
 // region spans. Regions are keyed by shard id and sit far above any
@@ -103,6 +99,16 @@ type Session struct {
 // must be a registered application; the runner goroutine starts parked
 // (zero budget) and advances only under /step grants.
 func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Session, error) {
+	// Agent intervals are client input bounded by agent.MaxEvery, and
+	// checked before any wrapper — or hart goroutine — exists.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"chaosInterval", req.ChaosInterval}, {"migrateEvery", req.MigrateEvery}, {"schedInterval", req.SchedInterval}} {
+		if f.v > agent.MaxEvery {
+			return nil, fmt.Errorf("%s must be at most %d (got %d)", f.name, agent.MaxEvery, f.v)
+		}
+	}
 	// Tiering is per-session config: the tier spec goes into the
 	// machine's sim.Config (so it travels with snapshots and rebuilds
 	// identically on migration), and app sessions additionally get the
@@ -178,7 +184,7 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 		gm = grp
 	}
 	if tc != nil {
-		h := obs.NewHeatMap(tierHeatObjects, 0)
+		h := obs.NewHeatMap(tier.HeatObjects, 0)
 		m.SetHeatMap(h)
 		s.heat = h
 		s.td = tier.New(gm, tier.Config{

@@ -27,37 +27,36 @@
 // decisively hot (PromoteMin), precisely because of that chain-walk
 // price.
 //
-// The Daemon wraps an app.Machine through app.Interceptor, like the
-// chaos Relocator: it hooks the guest's data operations, counts them as
-// its clock — no wall time anywhere, so runs are deterministic and
-// replay from a seed — and wakes every ~Every operations to re-rank
-// objects. Ranking input is an obs.HeatMap (decayed per-object
-// loads/stores plus the trap attribution the fprof profiler keys off
-// the same map) — either the machine's own map, shared in, or a private
-// map the daemon feeds from its interception point.
+// The Daemon wraps an app.Machine through app.Interceptor: it hooks
+// the guest's data operations, counts them on an agent.Clock — no wall
+// time anywhere, so runs are deterministic and replay from a seed — and
+// wakes every ~Every operations to re-rank objects. Ranking input is an
+// obs.HeatMap (decayed per-object loads/stores plus the trap
+// attribution the fprof profiler keys off the same map) — either the
+// machine's own map, shared in, or a private map the daemon feeds from
+// its interception point.
 //
-// Every migration goes through the production opt.TryRelocate
-// two-phase commit, so online tiering inherits the whole safety story
-// for free: Figure 4(a) chain-append legality, journaling through any
-// installed fault injector, and fault.Scavenge roll-forward — a crash
-// induced mid-migration is recovered and the move completes, exactly
-// as the crash-consistency harness proves for offline relocation. The
-// differential and chaos harnesses run unchanged with the daemon
-// enabled: a migrator that changed what the program computes would be
-// a safety-claim violation, and the tests treat it as one.
+// Every migration goes through agent.Relocate, the production
+// opt.TryRelocate two-phase commit, so online tiering inherits the
+// whole safety story for free: Figure 4(a) chain-append legality,
+// journaling through any installed fault injector, and roll-forward
+// from the journal (fault.Scavenge) — a crash induced mid-migration is
+// recovered and the move completes, exactly as the crash-consistency
+// harness proves for offline relocation. The differential and chaos
+// harnesses run unchanged with the daemon enabled: a migrator that
+// changed what the program computes would be a safety-claim violation,
+// and the tests treat it as one.
 package tier
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
+	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
-	"memfwd/internal/fault"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
-	"memfwd/internal/opt"
 )
 
 // Config parameterizes a Daemon. Tiers is required; everything else
@@ -72,7 +71,7 @@ type Config struct {
 	Seed int64
 
 	// Every is the mean number of guest operations between wakes
-	// (default 4096).
+	// (default 4096; at most agent.MaxEvery).
 	Every int
 
 	// FastFrac is the near-memory residency budget as a fraction of
@@ -83,15 +82,6 @@ type Config struct {
 	// small or starting workload is not forced far by a near-zero
 	// fraction of its near-zero live bytes.
 	MinBudget uint64
-
-	// Headroom is the fraction of the near budget the daemon keeps
-	// free by demoting cold data (default 0.25). This is what makes
-	// the daemon *adaptive*: new allocations are hot by recency, so
-	// each wake demotes the coldest near residents until that much of
-	// the budget is free, and the next phase's data lands near instead
-	// of spilling. Spill placement itself only fires at the full
-	// budget; headroom is purely the demotion target.
-	Headroom float64
 
 	// MaxMoves bounds demotions per wake (default 64); promotions get
 	// the same budget again. The safety gates (idle patience, spill
@@ -105,10 +95,6 @@ type Config struct {
 	// (default 1MB).
 	MaxObjectBytes uint64
 
-	// TopK is the demotion cap for a OneShot pass (default 64), which
-	// gets one chance to move everything worth moving.
-	TopK int
-
 	// PromoteMin is the access-delta bar a far-resident object must
 	// clear between two wakes before the daemon hauls it back near
 	// (default 1024, a quarter of the default Every — promotion pays
@@ -116,19 +102,9 @@ type Config struct {
 	// promotion entirely.
 	PromoteMin uint64
 
-	// IdleWakes is how many consecutive zero-delta wakes a block must
-	// sit through before it is demotable (default 16). Data traversed
-	// on a cycle longer than one wake window looks momentarily cold;
-	// patience separates "between touches" from "never coming back".
-	// This is only the starting patience: each wake the daemon counts
-	// demoted blocks that turned hot again (remorse) and doubles its
-	// working patience while mistakes keep surfacing, relaxing back
-	// one wake at a time when they stop.
-	IdleWakes int
-
 	// OneShot makes the daemon a paper-style static optimizer: the
 	// first wake runs one big demotion pass over the heat observed so
-	// far (moves capped by TopK, not MaxMoves), then the policy goes
+	// far (capped by oneShotMoves, not MaxMoves), then the policy goes
 	// quiet forever. The spill placement hook stays live — near
 	// capacity is physics, not policy — but residency is never
 	// re-decided, which is exactly what the adaptive daemon fixes.
@@ -216,11 +192,11 @@ type Daemon struct {
 	tiers *mem.Tiers
 	cfg   Config
 	rng   *rand.Rand
+	clock agent.Clock
 
-	countdown int
-	inWake    bool
-	inMalloc  bool // a timed guest Malloc is on the stack: spill placement may apply
-	fired     bool // OneShot policy completed
+	inWake   bool
+	inMalloc bool // a timed guest Malloc is on the stack: spill placement may apply
+	fired    bool // OneShot policy completed
 
 	heat    *obs.HeatMap
 	ownHeat bool
@@ -244,7 +220,7 @@ type Daemon struct {
 	moved map[mem.Addr]int
 
 	// patience is the working idle-wake bar for demotion, seeded from
-	// cfg.IdleWakes and self-tuned: doubled while demoted blocks keep
+	// idleWakes and self-tuned: doubled while demoted blocks keep
 	// turning hot again (remorse), relaxed by one when they don't.
 	patience int
 
@@ -271,16 +247,41 @@ var _ app.Machine = (*Daemon)(nil)
 
 const maxObjectMoves = 32
 
-// daemonHeatObjects sizes the daemon's private heat map when the
-// caller shares none: large enough to track every live block of the
-// workloads this simulator runs, because residency decisions refuse to
-// act on untracked blocks.
-const daemonHeatObjects = 1 << 16
+// HeatObjects sizes a heat map the daemon ranks from, shared or
+// private: large enough to track every live block of the workloads
+// this simulator runs, because residency decisions refuse to act on
+// untracked blocks.
+const HeatObjects = 1 << 16
 
 // maxPatience caps the self-tuned idle bar; past this the daemon has
 // effectively concluded the workload never goes idle and stops
 // demoting for the rest of a typical run.
 const maxPatience = 1 << 12
+
+const (
+	// headroom is the fraction of the near budget the daemon keeps free
+	// by demoting cold data. This is what makes the daemon *adaptive*:
+	// new allocations are hot by recency, so each wake demotes the
+	// coldest near residents until that much of the budget is free, and
+	// the next phase's data lands near instead of spilling. Spill
+	// placement itself only fires at the full budget; headroom is
+	// purely the demotion target.
+	headroom = 0.25
+
+	// oneShotMoves is the demotion cap for a OneShot pass, which gets
+	// one chance to move everything worth moving.
+	oneShotMoves = 64
+
+	// idleWakes is how many consecutive zero-delta wakes a block must
+	// sit through before it is demotable. Data traversed on a cycle
+	// longer than one wake window looks momentarily cold; patience
+	// separates "between touches" from "never coming back". This is
+	// only the starting patience: each wake the daemon counts demoted
+	// blocks that turned hot again (remorse) and doubles its working
+	// patience while mistakes keep surfacing, relaxing back one wake at
+	// a time when they stop.
+	idleWakes = 16
+)
 
 // New wraps inner with a tiering daemon and installs its spill
 // placement hook on inner's allocator. The wrapped machine — not
@@ -298,23 +299,14 @@ func New(inner app.Machine, cfg Config) *Daemon {
 	if cfg.MinBudget == 0 {
 		cfg.MinBudget = 64 << 10
 	}
-	if cfg.Headroom <= 0 || cfg.Headroom >= 1 {
-		cfg.Headroom = 0.25
-	}
 	if cfg.MaxMoves <= 0 {
 		cfg.MaxMoves = 64
 	}
 	if cfg.MaxObjectBytes == 0 {
 		cfg.MaxObjectBytes = 1 << 20
 	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 64
-	}
 	if cfg.PromoteMin == 0 {
 		cfg.PromoteMin = 1024
-	}
-	if cfg.IdleWakes <= 0 {
-		cfg.IdleWakes = 16
 	}
 	d := &Daemon{
 		al:       inner.Allocator(),
@@ -325,7 +317,7 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		resident: make(map[mem.Addr]residency),
 		moved:    make(map[mem.Addr]int),
 		track:    make(map[mem.Addr]tracker),
-		patience: cfg.IdleWakes,
+		patience: idleWakes,
 	}
 	d.Interceptor = app.NewInterceptor(inner, d)
 	if d.heat == nil {
@@ -333,7 +325,7 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		// untracked block as unknowable, so a telemetry-sized table
 		// (DefaultHeatObjects) would leave most of a list-heavy heap
 		// unmanageable.
-		d.heat = obs.NewHeatMap(daemonHeatObjects, 0)
+		d.heat = obs.NewHeatMap(HeatObjects, 0)
 		d.ownHeat = true
 	}
 	// Install the trap tap so trap attribution flows into a private
@@ -342,7 +334,7 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		inner.SetTrap(d.trapTap)
 	}
 	d.al.Place = d.place
-	d.reload()
+	d.clock = agent.NewClock(cfg.Every, d.rng)
 	return d
 }
 
@@ -395,8 +387,6 @@ func (d *Daemon) RegisterMetrics(r *obs.Registry) {
 		return s.HitRate(0)
 	})
 }
-
-func (d *Daemon) reload() { d.countdown = 1 + d.rng.Intn(2*d.cfg.Every) }
 
 // budget is the near-memory residency target in bytes.
 func (d *Daemon) budget() uint64 {
@@ -467,15 +457,9 @@ func (d *Daemon) trapTap(ev core.Event) {
 // tick is the daemon's clock: one call per intercepted guest
 // operation, a wake when the countdown expires.
 func (d *Daemon) tick() {
-	if d.inWake {
-		return
+	if !d.inWake && d.clock.Tick(d.rng) {
+		d.wake()
 	}
-	d.countdown--
-	if d.countdown > 0 {
-		return
-	}
-	d.reload()
-	d.wake()
 }
 
 // record attributes one guest access to the tier the touched data
@@ -542,7 +526,7 @@ func (d *Daemon) wake() {
 	budget := d.budget()
 	maxMoves := d.cfg.MaxMoves
 	if d.cfg.OneShot {
-		maxMoves = d.cfg.TopK
+		maxMoves = oneShotMoves
 	}
 
 	// Score every live block by its access delta since the last wake
@@ -613,7 +597,7 @@ func (d *Daemon) wake() {
 		if d.patience > maxPatience {
 			d.patience = maxPatience
 		}
-	} else if d.patience > d.cfg.IdleWakes {
+	} else if d.patience > idleWakes {
 		d.patience--
 	}
 
@@ -635,7 +619,7 @@ func (d *Daemon) wake() {
 	pressure := d.stats.Spills - d.lastSpills
 	d.lastSpills = d.stats.Spills
 
-	target := budget - uint64(float64(budget)*d.cfg.Headroom)
+	target := budget - uint64(float64(budget)*headroom)
 	if d.nearLive() > target && (pressure > 0 || d.cfg.OneShot) {
 		// A block the heat map does not track is unknown, not cold —
 		// an evicted-but-hot block demoted on absence of evidence
@@ -709,27 +693,29 @@ func (d *Daemon) dropResidency(base mem.Addr, r residency) {
 	delete(d.moved, base)
 }
 
-// migrate moves the object at base into tier's window through the
-// production two-phase commit, inheriting journaling and roll-forward
-// when a fault injector is installed. Returns false when the window is
-// exhausted (the caller's signal to stop for this wake).
+// migrate moves the object at base into tier's window through
+// agent.Relocate: with a fault injector installed on the machine, an
+// induced crash is recovered and the torn move rolled forward from its
+// journal — the crash-consistency guarantee applied to online
+// migration. Returns false when the window is exhausted (the caller's
+// signal to stop for this wake).
 func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
-	words := int(size / mem.WordSize)
-	if words == 0 {
-		return true
-	}
 	tgt := d.tiers.Take(tier, size)
 	if tgt == 0 {
 		d.stats.SkippedArena++
 		return false
 	}
-	if err := d.tryRelocate(base, tgt, words); err != nil {
+	repaired, err := agent.Relocate(d.Machine, base, tgt, int(size/mem.WordSize), nil)
+	if err != nil {
 		// A refused relocation is clean: phase-1 copies are invisible
 		// until planted, so the heap is untouched; only window bytes
 		// are wasted.
 		d.tiers.Release(tier, roundUp(size))
 		d.stats.Aborted++
 		return true
+	}
+	if repaired {
+		d.stats.Repaired++
 	}
 	if prev, ok := d.resident[base]; ok {
 		d.tiers.Release(prev.tier, prev.bytes)
@@ -750,29 +736,6 @@ func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
 		d.stats.DemotedBytes += size
 	}
 	return true
-}
-
-// tryRelocate runs the two-phase commit; with a fault injector
-// installed, an induced crash is recovered and the torn move rolled
-// forward from its journal — the crash-consistency guarantee applied
-// to online migration.
-func (d *Daemon) tryRelocate(base, tgt mem.Addr, words int) error {
-	inj := d.Machine.FaultInjector()
-	if inj == nil {
-		return opt.TryRelocate(d.Machine, base, tgt, words)
-	}
-	err := func() (err error) {
-		defer fault.RecoverCrash(&err)
-		return opt.TryRelocate(d.Machine, base, tgt, words)
-	}()
-	if err == nil {
-		return nil
-	}
-	if _, serr := fault.Scavenge(d.Machine.Memory(), d.Machine.Forwarder(), &inj.Journal, inj); serr != nil {
-		panic(fmt.Sprintf("tier: scavenge of %#x after %q: %v", base, err, serr))
-	}
-	d.stats.Repaired++
-	return nil // rolled forward: the migration completed
 }
 
 // --- guest-operation interception -----------------------------------
