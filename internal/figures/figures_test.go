@@ -108,8 +108,15 @@ func TestJSONDeterministicAcrossJobs(t *testing.T) {
 		t.Fatal("fig10 JSON differs between jobs=1 and jobs=8")
 	}
 
-	got := fmt.Sprintf("sha256:%x bytes:%d\n", sha256.Sum256(a), len(a))
-	golden := filepath.Join("testdata", "fig10-json.digest")
+	checkDigest(t, "fig10", "fig10-json.digest", a)
+}
+
+// checkDigest compares out's SHA-256 and length against the golden
+// digest file under testdata/ (or rewrites it under -update-golden).
+func checkDigest(t *testing.T, what, file string, out []byte) {
+	t.Helper()
+	got := fmt.Sprintf("sha256:%x bytes:%d\n", sha256.Sum256(out), len(out))
+	golden := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -121,8 +128,8 @@ func TestJSONDeterministicAcrossJobs(t *testing.T) {
 		t.Fatalf("missing golden digest (regenerate with -update-golden): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("fig10 JSON drifted from the committed golden:\n got %s want %s"+
-			"(run with -update-golden if the change is intentional)", got, want)
+		t.Errorf("%s JSON drifted from the committed golden:\n got %s want %s"+
+			"(run with -update-golden if the change is intentional)", what, got, want)
 	}
 }
 
@@ -188,20 +195,22 @@ func TestTierFigureGoldenAndAdaptiveWins(t *testing.T) {
 		}
 	}
 
-	got := fmt.Sprintf("sha256:%x bytes:%d\n", sha256.Sum256(a), len(a))
-	golden := filepath.Join("testdata", "tier-json.digest")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	checkDigest(t, "tier", "tier-json.digest", a)
+}
+
+// TestTierFigureGoldenSeed5 pins the tier figure at a second seed, so
+// the daemon's decisions are held at more than the one seed the
+// benchmark also runs.
+func TestTierFigureGoldenSeed5(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 24 application simulations")
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden digest (regenerate with -update-golden): %v", err)
+	var stdout, stderr bytes.Buffer
+	if err := Run(Config{Only: "tier", JSON: true, Seed: 5, Scale: 1, Jobs: 2}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("tier JSON drifted from the committed golden:\n got %s want %s"+
-			"(run with -update-golden if the change is intentional)", got, want)
+	if stdout.Len() == 0 {
+		t.Fatal("no JSON output")
 	}
+	checkDigest(t, "tier seed-5", "tier-json-seed5.digest", stdout.Bytes())
 }

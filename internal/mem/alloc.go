@@ -216,7 +216,9 @@ func (al *Allocator) Range() (base, end Addr) { return al.base, al.end }
 // Pinned reports whether a is the base of an arena-pinned block.
 func (al *Allocator) Pinned(a Addr) bool { return al.pinned[a] }
 
-// LiveBlocks returns the sorted bases of all live blocks (test support).
+// LiveBlocks returns the sorted bases of all live blocks. The heap
+// digest and the snapshot comparison walk them in this order; a caller
+// that does not need an order should use EachLive.
 func (al *Allocator) LiveBlocks() []Addr {
 	out := make([]Addr, 0, len(al.live))
 	for a := range al.live {
@@ -224,6 +226,15 @@ func (al *Allocator) LiveBlocks() []Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// EachLive calls f with the base and usable size of every live block,
+// in no particular order, without allocating. f must not allocate or
+// free blocks.
+func (al *Allocator) EachLive(f func(a Addr, size uint64)) {
+	for a, n := range al.live {
+		f(a, n)
+	}
 }
 
 // Arena is a bump-only contiguous allocator used for relocation pools:

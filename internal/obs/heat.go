@@ -60,13 +60,23 @@ const (
 // Word-to-object resolution uses an exact per-word index (objects are
 // word-aligned, so every word belongs to at most one block); accesses
 // to words outside any tracked block (stack, globals, evicted blocks)
-// count in Untracked.
+// count in Untracked. The index is paged like mem.Memory: one slot per
+// word holding the covering live block's profile id, pages
+// materialized on first use and never released, and the last page
+// touched cached so consecutive accesses to one page skip the page
+// map. Profiles live in a slab addressed by those ids, so neither the
+// index nor the slab holds a pointer for the collector to scan.
 //
 // Like the Machine it instruments, a HeatMap is not safe for concurrent
 // use; concurrent readers get Snapshot copies.
 type HeatMap struct {
-	objs  map[uint64]*HeatObject // base -> profile
-	index map[uint64]uint64      // word addr >> 3 -> base
+	objs map[uint64]uint32 // base -> slab id, live and dead profiles
+	slab []HeatObject      // id -> profile; id 0 means "no block"
+	free []uint32          // ids released by eviction and decay
+
+	pages map[uint64]*heatPage // page number -> word slots
+	mruPN uint64
+	mru   *heatPage
 
 	maxObjects int
 	epochEvery uint64
@@ -76,6 +86,16 @@ type HeatMap struct {
 	evicted   uint64
 	untracked uint64
 }
+
+// Index pages cover one 4 KB page of address space each.
+const (
+	heatPageShift = 12
+	heatPageWords = 1 << (heatPageShift - 3)
+)
+
+// heatPage holds a slot per word: the slab id of the live tracked block
+// covering it, or 0. A page costs 2 KB per 4 KB of tracked address space.
+type heatPage [heatPageWords]uint32
 
 // NewHeatMap builds a heat map bounded to maxObjects entries with a
 // decay epoch every epochEvery accesses (<= 0 takes the defaults).
@@ -87,30 +107,35 @@ func NewHeatMap(maxObjects int, epochEvery uint64) *HeatMap {
 		epochEvery = DefaultHeatEpoch
 	}
 	return &HeatMap{
-		objs:       make(map[uint64]*HeatObject, maxObjects),
-		index:      make(map[uint64]uint64),
+		objs:       make(map[uint64]uint32),
+		slab:       make([]HeatObject, 1),
+		pages:      make(map[uint64]*heatPage),
 		maxObjects: maxObjects,
 		epochEvery: epochEvery,
 	}
 }
 
 // OnAlloc registers a new allocation block (nil-safe). Reusing a base
-// address replaces the previous (necessarily dead) entry.
+// address replaces the previous entry in the same slab slot.
 func (h *HeatMap) OnAlloc(base, bytes uint64) {
 	if h == nil {
 		return
 	}
-	if old, ok := h.objs[base]; ok {
+	id, ok := h.objs[base]
+	if ok {
 		// The allocator reused an address; the old block is gone.
-		h.dropIndex(old)
-	} else if len(h.objs) >= h.maxObjects {
-		h.evictColdest()
+		if h.slab[id].Live {
+			h.index(id, false)
+		}
+	} else {
+		if len(h.objs) >= h.maxObjects {
+			h.evictColdest()
+		}
+		id = h.newID()
+		h.objs[base] = id
 	}
-	o := &HeatObject{Base: base, Bytes: bytes, Live: true}
-	h.objs[base] = o
-	for w := base >> 3; w < (base+bytes+7)>>3; w++ {
-		h.index[w] = base
-	}
+	h.slab[id] = HeatObject{Base: base, Bytes: bytes, Live: true}
+	h.index(id, true)
 }
 
 // OnFree marks a block dead (nil-safe). The profile is retained — a
@@ -120,57 +145,115 @@ func (h *HeatMap) OnFree(base uint64) {
 	if h == nil {
 		return
 	}
-	o, ok := h.objs[base]
-	if !ok {
+	id, ok := h.objs[base]
+	if !ok || !h.slab[id].Live {
 		return
 	}
-	o.Live = false
-	h.dropIndex(o)
+	h.slab[id].Live = false
+	h.index(id, false)
 }
 
-func (h *HeatMap) dropIndex(o *HeatObject) {
-	for w := o.Base >> 3; w < (o.Base+o.Bytes+7)>>3; w++ {
-		if h.index[w] == o.Base {
-			delete(h.index, w)
-		}
+// newID takes a slab slot for a new profile, recycling released ones.
+func (h *HeatMap) newID() uint32 {
+	if n := len(h.free); n > 0 {
+		id := h.free[n-1]
+		h.free = h.free[:n-1]
+		return id
 	}
+	h.slab = append(h.slab, HeatObject{})
+	return uint32(len(h.slab) - 1)
+}
+
+// release forgets the profile at base entirely.
+func (h *HeatMap) release(base uint64, id uint32) {
+	delete(h.objs, base)
+	h.free = append(h.free, id)
+}
+
+// index points every word of block id at it (set) or clears the words
+// that still point at it (!set). Only live blocks hold index slots, so
+// a slot always names a live profile whose base maps back to it.
+func (h *HeatMap) index(id uint32, set bool) {
+	o := &h.slab[id]
+	end := (o.Base + o.Bytes + 7) >> 3
+	for w := o.Base >> 3; w < end; {
+		off := w & (heatPageWords - 1)
+		n := min(heatPageWords-off, end-w)
+		if p := h.page(w<<3, set); p != nil {
+			slots := p[off : off+n]
+			for i := range slots {
+				if set {
+					slots[i] = id
+				} else if slots[i] == id {
+					slots[i] = 0
+				}
+			}
+		}
+		w += n
+	}
+}
+
+// page returns the index page covering addr: the cached MRU page when
+// it matches, else from the page map — materialized when create is set,
+// nil when nothing was ever indexed there.
+func (h *HeatMap) page(addr uint64, create bool) *heatPage {
+	pn := addr >> heatPageShift
+	if pn == h.mruPN && h.mru != nil {
+		return h.mru
+	}
+	p := h.pages[pn]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(heatPage)
+		h.pages[pn] = p
+	}
+	h.mru, h.mruPN = p, pn
+	return p
 }
 
 // evictColdest removes the lowest-heat entry, preferring dead blocks:
 // a freed object is evicted before any live one regardless of heat.
 func (h *HeatMap) evictColdest() {
 	var victim *HeatObject
-	for _, o := range h.objs {
+	var vid uint32
+	for _, id := range h.objs {
+		o := &h.slab[id]
 		if victim == nil {
-			victim = o
+			victim, vid = o, id
 			continue
 		}
 		switch {
 		case victim.Live && !o.Live:
-			victim = o
+			victim, vid = o, id
 		case victim.Live == o.Live &&
 			(o.heat() < victim.heat() ||
 				(o.heat() == victim.heat() && o.Base < victim.Base)):
-			victim = o
+			victim, vid = o, id
 		}
 	}
 	if victim == nil {
 		return
 	}
 	if victim.Live {
-		h.dropIndex(victim)
+		h.index(vid, false)
 	}
-	delete(h.objs, victim.Base)
+	h.release(victim.Base, vid)
 	h.evicted++
 }
 
-// lookup resolves a word address to its tracked object, if any.
+// lookup resolves a word address to its tracked live object, if any.
 func (h *HeatMap) lookup(addr uint64) *HeatObject {
-	base, ok := h.index[addr>>3]
-	if !ok {
+	p := h.page(addr, false)
+	if p == nil {
 		return nil
 	}
-	return h.objs[base]
+	id := p[(addr>>3)&(heatPageWords-1)]
+	if id == 0 {
+		return nil
+	}
+	return &h.slab[id]
 }
 
 // Resolve maps an address to the base of the tracked allocation block
@@ -194,11 +277,11 @@ func (h *HeatMap) Get(base uint64) (HeatObject, bool) {
 	if h == nil {
 		return HeatObject{}, false
 	}
-	o, ok := h.objs[base]
+	id, ok := h.objs[base]
 	if !ok {
 		return HeatObject{}, false
 	}
-	return *o, true
+	return h.slab[id], true
 }
 
 // RecordAccess attributes one load or store (nil-safe). initial is the
@@ -234,14 +317,15 @@ func (h *HeatMap) RecordAccess(initial, final uint64, store bool, hops int) {
 	h.tick()
 }
 
-// RecordTrap attributes one forwarding trap and its handling cost.
+// RecordTrap attributes one forwarding trap and its handling cost. The
+// trapped access itself is counted by its RecordAccess, tracked or not,
+// so an untracked trap adds nothing here.
 func (h *HeatMap) RecordTrap(initial uint64, cycles int64) {
 	if h == nil {
 		return
 	}
 	o := h.lookup(initial)
 	if o == nil {
-		h.untracked++
 		return
 	}
 	o.Traps++
@@ -259,7 +343,8 @@ func (h *HeatMap) tick() {
 	}
 	h.sinceEpoch = 0
 	h.epochs++
-	for base, o := range h.objs {
+	for base, id := range h.objs {
+		o := &h.slab[id]
 		o.Loads >>= 1
 		o.Stores >>= 1
 		o.Forwarded >>= 1
@@ -267,7 +352,7 @@ func (h *HeatMap) tick() {
 		o.Traps >>= 1
 		o.TrapCyc >>= 1
 		if !o.Live && o.heat() == 0 {
-			delete(h.objs, base)
+			h.release(base, id)
 		}
 	}
 }
@@ -296,7 +381,8 @@ func (h *HeatMap) top(k int, skip func(*HeatObject) bool, less func(a, b *HeatOb
 		return nil
 	}
 	objs := make([]*HeatObject, 0, len(h.objs))
-	for _, o := range h.objs {
+	for _, id := range h.objs {
+		o := &h.slab[id]
 		if skip != nil && skip(o) {
 			continue
 		}
@@ -341,8 +427,8 @@ func (h *HeatMap) Snapshot(k int) HeatSnapshot {
 		return HeatSnapshot{}
 	}
 	live := 0
-	for _, o := range h.objs {
-		if o.Live {
+	for _, id := range h.objs {
+		if h.slab[id].Live {
 			live++
 		}
 	}

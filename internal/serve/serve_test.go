@@ -180,7 +180,7 @@ func TestCreateBoundsAgentIntervals(t *testing.T) {
 			{Mode: "health", Harts: harts, Tiers: 2, MigrateEvery: huge},
 			{Mode: "health", Harts: harts, SchedInterval: huge},
 		} {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			if _, err := sv.createSession(req); err == nil {
 				t.Errorf("create %+v succeeded, want error", req)
 			}
@@ -189,6 +189,24 @@ func TestCreateBoundsAgentIntervals(t *testing.T) {
 			}
 		}
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held
+// steady for several polls: connection goroutines of servers that
+// earlier tests closed exit asynchronously, and counting them would
+// make a goroutine delta measure their exit instead of the code under
+// test.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for steady, deadline := 0, time.Now().Add(2*time.Second); steady < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, steady = m, 0
+		} else {
+			steady++
+		}
+	}
+	return n
 }
 
 // TestAppSessionStepEventsAndStats runs a benchmark application as a

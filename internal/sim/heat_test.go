@@ -79,6 +79,30 @@ func TestHeatMapTracksMachineAccesses(t *testing.T) {
 	}
 }
 
+// TestHeatMapUntrackedTrapCountsOnce: a forwarded, trapped load of a
+// block the heat map never saw is one untracked access. The trap's
+// attribution used to count it a second time on top of the load's own.
+func TestHeatMapUntrackedTrapCountsOnce(t *testing.T) {
+	m := newM()
+	src := m.Malloc(16)
+	tgt := m.Malloc(16)
+	m.StoreWord(src, 9)
+	relocateRaw(m, src, tgt, 2)
+
+	h := obs.NewHeatMap(64, 0)
+	m.SetHeatMap(h) // attached after both blocks exist: neither is tracked
+	m.SetTrap(func(core.Event) {})
+	if m.LoadWord(src) != 9 {
+		t.Fatal("forwarded load lost its value")
+	}
+	if m.stats.Traps != 1 {
+		t.Fatalf("traps = %d, want the load to trap once", m.stats.Traps)
+	}
+	if got := h.Untracked(); got != 1 {
+		t.Fatalf("Untracked = %d after one trapped load, want 1", got)
+	}
+}
+
 // TestHeatMapDisabledZeroAlloc extends the zero-allocation acceptance
 // guards to the heat-map-disabled hot path: with no heat map attached
 // (the default) loads, stores, and forwarded accesses must stay

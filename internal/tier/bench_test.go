@@ -26,10 +26,10 @@ func BenchmarkDaemonInterception(b *testing.B) {
 }
 
 // BenchmarkDaemonWake is one full policy pass over a populated heap:
-// residency validation, heat ranking, and whatever migrations the
-// budget admits. The first iterations do real two-phase-commit moves;
-// later ones measure the steady-state ranking cost once the hot set
-// has settled.
+// the live-set visit, heat ranking and candidate selection. All 256
+// blocks fit the near budget, so no wake migrates and every iteration
+// is the steady state; TestDaemonWakeSteadyStateZeroAlloc pins its
+// zero allocations on a heap that has seen spills and demotions.
 func BenchmarkDaemonWake(b *testing.B) {
 	tc := mem.DefaultTierConfig(2, 70)
 	m := sim.New(sim.Config{Tiers: tc})
@@ -44,6 +44,42 @@ func BenchmarkDaemonWake(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.wake()
+	}
+}
+
+// TestDaemonWakeSteadyStateZeroAlloc: a wake updates its per-block
+// records in place and reuses its candidate buffers, so once a first
+// wake has met every block, a wake that migrates nothing allocates
+// nothing. The daemon carries every kind of record: near-placed,
+// spilled and demoted blocks, and one freed behind its back.
+func TestDaemonWakeSteadyStateZeroAlloc(t *testing.T) {
+	tc := mem.DefaultTierConfig(2, 70)
+	m := sim.New(sim.Config{Tiers: tc})
+	d := New(m, Config{Tiers: tc, Seed: 4, Every: 128, MinBudget: 16 << 10})
+	var blocks []mem.Addr
+	for i := 0; i < 256; i++ {
+		a := d.Malloc(256)
+		d.StoreWord(a, uint64(i))
+		blocks = append(blocks, a)
+	}
+	for i := 0; i < 1<<15; i++ {
+		d.LoadWord(blocks[i%8])
+		if i%256 == 0 {
+			d.Malloc(64) // spill pressure, so idle blocks get demoted
+		}
+	}
+	m.Allocator().Free(blocks[200]) // untimed: the next wake drops its record
+	d.wake()
+	st := d.Stats()
+	if st.Demotions == 0 || st.Spills == 0 {
+		t.Fatalf("setup reached no demotion or spill: %+v", st)
+	}
+	allocs := testing.AllocsPerRun(100, d.wake)
+	if after := d.Stats(); after.Demotions != st.Demotions || after.Promotions != st.Promotions {
+		t.Fatalf("measured wakes migrated: %+v", after)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state wake allocated %.1f times, want 0", allocs)
 	}
 }
 

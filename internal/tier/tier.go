@@ -49,8 +49,9 @@
 package tier
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
@@ -170,17 +171,28 @@ func (s *Stats) HitRate(i int) float64 {
 	return float64(s.Accesses[i]) / float64(total)
 }
 
-type residency struct {
-	tier  int
-	bytes uint64 // word-rounded, matching Take/Release accounting
-}
-
-// tracker is per-block ranking state carried between wakes: see the
-// Daemon.track field doc.
-type tracker struct {
+// block is the daemon's record of one live block: see the
+// Daemon.blocks field doc.
+type block struct {
+	// Ranking state carried from the previous wake.
 	last  uint64 // cumulative heatKey at the previous wake
 	score uint64 // EWMA of per-wake deltas
 	idle  int    // consecutive wakes with a zero delta
+
+	// Residency: bytes > 0 when the block's data lives in a tier window
+	// (spilled, demoted, or promoted back), word-rounded to match
+	// Take/Release accounting.
+	bytes uint64
+	tier  int
+	moved int // migrations so far, bounding promote/demote thrash
+}
+
+// candidate is a block a wake may migrate.
+type candidate struct {
+	base  mem.Addr
+	score uint64
+	size  uint64
+	idle  int
 }
 
 // Daemon is the migrator. Like the machine it wraps, it is not safe
@@ -202,22 +214,34 @@ type Daemon struct {
 	ownHeat bool
 
 	guestTrap core.TrapHandler
+	tap       core.TrapHandler // trapTap, bound once so wakes re-install it for free
 
-	// resident maps object base -> the window its data currently lives
-	// in (spilled, demoted, or promoted-back). Bases are object
+	// blocks holds one record per block base: its residency (the
+	// window its data currently lives in), its migration count, and
+	// the ranking state carried between wakes. Bases are object
 	// identity (TryRelocate leaves the base forwarding, and a spilled
-	// object's base *is* its window address), so entries stay valid
-	// across any number of moves; they are dropped when the allocator
-	// reports the base dead.
-	resident map[mem.Addr]residency
+	// object's base *is* its window address), so records stay valid
+	// across any number of moves. Free drops a record; a wake drops the
+	// records of blocks the allocator no longer has (untimed frees).
+	//
+	// The ranking state is the cumulative heat seen at the previous
+	// wake (so each wake can take a delta) and an exponential moving
+	// average of those deltas, which is the score policy actually ranks
+	// on. Cumulative totals invert the signal (a long-lived object on
+	// its way out ranks hotter than a just-born hot one); a raw
+	// single-window delta overcorrects (an object mid-way through a
+	// traversal cycle longer than one wake scores zero and gets demoted
+	// while still hot). The EWMA — halved each wake, then bumped by the
+	// fresh delta — is the middle ground: recency-weighted with a few
+	// wakes of memory. A block born since the previous wake has no
+	// record, or the zero-ranked one its spill placement made; only a
+	// base freed untimed and reused before the wake keeps the old
+	// block's record.
+	blocks map[mem.Addr]block
 
 	// farBytes is the rounded total of resident bytes in tiers >= 1,
 	// so nearLive is O(1) on the allocation path.
 	farBytes uint64
-
-	// moved counts migrations per object, bounding chain growth from
-	// promote/demote thrash.
-	moved map[mem.Addr]int
 
 	// patience is the working idle-wake bar for demotion, seeded from
 	// idleWakes and self-tuned: doubled while demoted blocks keep
@@ -228,17 +252,9 @@ type Daemon struct {
 	// is current allocation pressure, which gates demotion.
 	lastSpills uint64
 
-	// track carries per-block ranking state across wakes: the
-	// cumulative heat seen at the previous wake (so each wake can take
-	// a delta) and an exponential moving average of those deltas,
-	// which is the score policy actually ranks on. Cumulative totals
-	// invert the signal (a long-lived object on its way out ranks
-	// hotter than a just-born hot one); a raw single-window delta
-	// overcorrects (an object mid-way through a traversal cycle longer
-	// than one wake scores zero and gets demoted while still hot). The
-	// EWMA — halved each wake, then bumped by the fresh delta — is the
-	// middle ground: recency-weighted with a few wakes of memory.
-	track map[mem.Addr]tracker
+	// victims and promos are the wake's candidate buffers, kept across
+	// wakes so a steady-state wake allocates nothing.
+	victims, promos []candidate
 
 	stats Stats
 }
@@ -314,11 +330,10 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		heat:     cfg.Heat,
-		resident: make(map[mem.Addr]residency),
-		moved:    make(map[mem.Addr]int),
-		track:    make(map[mem.Addr]tracker),
+		blocks:   make(map[mem.Addr]block),
 		patience: idleWakes,
 	}
+	d.tap = d.trapTap
 	d.Interceptor = app.NewInterceptor(inner, d)
 	if d.heat == nil {
 		// Sized for whole-heap coverage: residency policy treats an
@@ -331,7 +346,7 @@ func New(inner app.Machine, cfg Config) *Daemon {
 	// Install the trap tap so trap attribution flows into a private
 	// heat map even if the guest never installs a handler.
 	if d.ownHeat {
-		inner.SetTrap(d.trapTap)
+		inner.SetTrap(d.tap)
 	}
 	d.al.Place = d.place
 	d.clock = agent.NewClock(cfg.Every, d.rng)
@@ -433,7 +448,7 @@ func (d *Daemon) place(size uint64) mem.Addr {
 		d.stats.SkippedArena++
 		return 0
 	}
-	d.resident[a] = residency{tier: tier, bytes: take}
+	d.blocks[a] = block{tier: tier, bytes: take}
 	if tier > 0 {
 		d.farBytes += take
 		d.stats.Spills++
@@ -477,8 +492,8 @@ func (d *Daemon) record(a mem.Addr, store bool) {
 	// address is the near base but whose data lives where it was moved.
 	t := d.tiers.TierOf(a)
 	if base, ok := d.heat.Resolve(uint64(a)); ok {
-		if r, ok := d.resident[mem.Addr(base)]; ok {
-			t = r.tier
+		if b, ok := d.blocks[mem.Addr(base)]; ok && b.bytes > 0 {
+			t = b.tier
 		}
 	}
 	d.stats.Accesses[t]++
@@ -495,6 +510,12 @@ func heatKey(o obs.HeatObject) uint64 { return o.Loads + o.Stores + o.Traps }
 // back any far-resident object that turned decisively hot. Guest traps
 // are masked for the duration — the daemon models an agent outside the
 // program, and its migrations must not invoke guest trap code.
+//
+// The pass visits the live set in the allocator's map order and
+// updates each block's record in place. Visit order cannot change a
+// decision: the ranking state is per block, remorse is a count, and
+// victims and promotions are sorted by total orders — (score, base)
+// and (score descending, base) — before any of them moves.
 func (d *Daemon) wake() {
 	if d.cfg.OneShot && d.fired {
 		return
@@ -504,7 +525,7 @@ func (d *Daemon) wake() {
 	d.Machine.SetTrap(nil)
 	defer func() {
 		if d.ownHeat {
-			d.Machine.SetTrap(d.trapTap)
+			d.Machine.SetTrap(d.tap)
 		} else {
 			d.Machine.SetTrap(d.guestTrap)
 		}
@@ -513,79 +534,84 @@ func (d *Daemon) wake() {
 	d.stats.Wakes++
 
 	al := d.al
-	// Residency entries for objects freed since the last wake (timed
-	// or untimed — the allocator is the authority) release their tier
-	// bytes. Map iteration order is irrelevant: every dead entry is
-	// dropped unconditionally.
-	for base, r := range d.resident {
-		if !al.Live(base) {
-			d.dropResidency(base, r)
-		}
-	}
-
 	budget := d.budget()
 	maxMoves := d.cfg.MaxMoves
 	if d.cfg.OneShot {
 		maxMoves = oneShotMoves
 	}
+	// Demotion is worth its move cost only if the freed budget gets
+	// used: when no allocation spilled since the last wake, nothing is
+	// asking for near memory and a demotion would buy headroom nobody
+	// spends (near latency is per-address — unoccupied budget earns
+	// nothing). A OneShot pass is exempt: it is the one chance to act
+	// on whatever pressure the whole warmup showed.
+	pressure := d.stats.Spills - d.lastSpills
+	d.lastSpills = d.stats.Spills
+	demoting := pressure > 0 || d.cfg.OneShot
 
-	// Score every live block by its access delta since the last wake
-	// (a OneShot pass sees lifetime totals — all it can know). The scan
-	// over the allocator's sorted live set keeps the pass deterministic.
-	type scored struct {
-		base  mem.Addr
-		score uint64
-		size  uint64
-		far   bool
-		known bool // the heat map tracks this block; score is evidence, not absence
-		idle  int  // consecutive zero-delta wakes
-	}
-	var cands []scored
-	var remorse int
-	live := al.LiveBlocks()
-	next := make(map[mem.Addr]tracker, len(live))
-	for _, base := range live {
+	// Score every live block by its access delta since the last wake (a
+	// OneShot pass sees lifetime totals — all it can know), and gather
+	// the blocks each lever may move.
+	victims, promos := d.victims[:0], d.promos[:0]
+	remorse, visited := 0, 0
+	al.EachLive(func(base mem.Addr, size uint64) {
+		visited++
+		b := d.blocks[base]
 		var cur uint64
 		o, known := d.heat.Get(uint64(base))
 		if known {
 			cur = heatKey(o)
 		}
-		tr := d.track[base]
-		delta := cur - tr.last
-		if cur < tr.last {
+		delta := cur - b.last
+		if cur < b.last {
 			// Decay epoch or identity reuse shrank the counter; the
 			// current value is the freshest signal there is.
 			delta = cur
 		}
-		idle := 0
 		if delta == 0 {
-			idle = tr.idle + 1
+			b.idle++
+		} else {
+			b.idle = 0
 		}
-		sc := tr.score/2 + delta
-		next[base] = tracker{last: cur, score: sc, idle: idle}
-		if al.Pinned(base) {
-			continue
+		b.last, b.score = cur, b.score/2+delta
+		d.blocks[base] = b
+		if al.Pinned(base) || size == 0 || size > d.cfg.MaxObjectBytes {
+			return
 		}
-		size, ok := al.SizeOf(base)
-		if !ok || size == 0 || size > d.cfg.MaxObjectBytes {
-			continue
-		}
-		r, isResident := d.resident[base]
-		far := isResident && r.tier > 0
+		far := b.bytes > 0 && b.tier > 0
 		// A block the daemon itself demoted (spills have moved == 0)
 		// showing fresh accesses is a caught mistake: it now pays a
 		// chain walk per touch that leaving it alone would not have.
-		if far && delta > 0 && d.moved[base] > 0 {
+		if far && delta > 0 && b.moved > 0 {
 			remorse++
 		}
-		if d.moved[base] >= maxObjectMoves {
-			continue
+		if b.moved >= maxObjectMoves {
+			return
 		}
-		cands = append(cands, scored{base, sc, size, far, known, idle})
+		c := candidate{base, b.score, size, b.idle}
+		switch {
+		case far:
+			if d.cfg.PromoteMin > 0 && b.score >= d.cfg.PromoteMin {
+				promos = append(promos, c)
+			}
+		case demoting && known && b.score == 0:
+			// A block the heat map does not track is unknown, not
+			// cold — an evicted-but-hot block demoted on absence of
+			// evidence would pay a chain walk on every later access.
+			victims = append(victims, c)
+		}
+	})
+	d.victims, d.promos = victims, promos
+	// Every live block now has a record; any other record belongs to a
+	// block freed without passing through Free (untimed), whose
+	// residency releases its tier bytes here.
+	if len(d.blocks) > visited {
+		for base, b := range d.blocks {
+			if !al.Live(base) {
+				d.forget(base, b)
+			}
+		}
 	}
-	// Swapping in the freshly built map prunes entries for blocks
-	// freed since the last wake.
-	d.track = next
 
 	// Self-tuning patience: while demotion mistakes keep surfacing,
 	// back off aggressively (the workload's re-touch cycle is longer
@@ -602,39 +628,19 @@ func (d *Daemon) wake() {
 	}
 
 	// Demote: only blocks whose EWMA has decayed to zero — confirmed
-	// idle for several consecutive wakes, not merely quiet in one
-	// window. Demoting anything still warm is pure loss (the move cost
-	// plus a forwarding hop on every later access, versus a freed
+	// idle for at least patience consecutive wakes, not merely quiet in
+	// one window. Demoting anything still warm is pure loss (the move
+	// cost plus a forwarding hop on every later access, versus a freed
 	// budget slice that near memory never needed — latency here is
 	// per-address, not per-occupancy). Demoting the truly idle is the
 	// adaptive lever: it frees budget so the next phase's allocations
 	// are born near instead of spilling far, which a one-shot pass
 	// cannot do once its moment has passed.
-	// Demotion is worth its move cost only if the freed budget gets
-	// used: when no allocation spilled since the last wake, nothing is
-	// asking for near memory and a demotion would buy headroom nobody
-	// spends (near latency is per-address — unoccupied budget earns
-	// nothing). A OneShot pass is exempt: it is the one chance to act
-	// on whatever pressure the whole warmup showed.
-	pressure := d.stats.Spills - d.lastSpills
-	d.lastSpills = d.stats.Spills
-
 	target := budget - uint64(float64(budget)*headroom)
-	if d.nearLive() > target && (pressure > 0 || d.cfg.OneShot) {
-		// A block the heat map does not track is unknown, not cold —
-		// an evicted-but-hot block demoted on absence of evidence
-		// would pay a chain walk on every later access.
-		victims := make([]scored, 0, len(cands))
-		for _, c := range cands {
-			if !c.far && c.known && c.score == 0 && c.idle >= d.patience {
-				victims = append(victims, c)
-			}
-		}
-		sort.SliceStable(victims, func(i, j int) bool {
-			if victims[i].score != victims[j].score {
-				return victims[i].score < victims[j].score
-			}
-			return victims[i].base < victims[j].base
+	if d.nearLive() > target && demoting {
+		victims = slices.DeleteFunc(victims, func(c candidate) bool { return c.idle < d.patience })
+		slices.SortFunc(victims, func(a, b candidate) int {
+			return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.base, b.base))
 		})
 		moves := 0
 		for _, v := range victims {
@@ -651,46 +657,36 @@ func (d *Daemon) wake() {
 	// Promote: a far-resident object hot enough to clear PromoteMin
 	// since the last wake earns near-latency space from tier 0's
 	// window — if the budget has room for it.
-	if d.cfg.PromoteMin > 0 {
-		promos := make([]scored, 0, 8)
-		for _, c := range cands {
-			if c.far && c.score >= d.cfg.PromoteMin {
-				promos = append(promos, c)
-			}
+	slices.SortFunc(promos, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.base, b.base))
+	})
+	moves := 0
+	for _, p := range promos {
+		if moves >= maxMoves {
+			break
 		}
-		sort.SliceStable(promos, func(i, j int) bool {
-			if promos[i].score != promos[j].score {
-				return promos[i].score > promos[j].score
-			}
-			return promos[i].base < promos[j].base
-		})
-		moves := 0
-		for _, p := range promos {
-			if moves >= maxMoves {
-				break
-			}
-			if d.nearLive()+roundUp(p.size) > budget {
-				d.stats.SkippedBudget++
-				continue
-			}
-			if !d.migrate(p.base, p.size, 0) {
-				break
-			}
-			moves++
+		if d.nearLive()+roundUp(p.size) > budget {
+			d.stats.SkippedBudget++
+			continue
 		}
+		if !d.migrate(p.base, p.size, 0) {
+			break
+		}
+		moves++
 	}
 }
 
 func roundUp(n uint64) uint64 { return (n + mem.WordSize - 1) &^ uint64(mem.WordSize-1) }
 
-// dropResidency releases a dead object's window accounting.
-func (d *Daemon) dropResidency(base mem.Addr, r residency) {
-	d.tiers.Release(r.tier, r.bytes)
-	if r.tier > 0 {
-		d.farBytes -= r.bytes
+// forget drops a dead block's record, releasing its window accounting.
+func (d *Daemon) forget(base mem.Addr, b block) {
+	if b.bytes > 0 {
+		d.tiers.Release(b.tier, b.bytes)
+		if b.tier > 0 {
+			d.farBytes -= b.bytes
+		}
 	}
-	delete(d.resident, base)
-	delete(d.moved, base)
+	delete(d.blocks, base)
 }
 
 // migrate moves the object at base into tier's window through
@@ -717,17 +713,19 @@ func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
 	if repaired {
 		d.stats.Repaired++
 	}
-	if prev, ok := d.resident[base]; ok {
-		d.tiers.Release(prev.tier, prev.bytes)
-		if prev.tier > 0 {
-			d.farBytes -= prev.bytes
+	b := d.blocks[base]
+	if b.bytes > 0 {
+		d.tiers.Release(b.tier, b.bytes)
+		if b.tier > 0 {
+			d.farBytes -= b.bytes
 		}
 	}
-	d.resident[base] = residency{tier: tier, bytes: roundUp(size)}
+	b.tier, b.bytes = tier, roundUp(size)
 	if tier > 0 {
-		d.farBytes += roundUp(size)
+		d.farBytes += b.bytes
 	}
-	d.moved[base]++
+	b.moved++
+	d.blocks[base] = b
 	if tier == 0 {
 		d.stats.Promotions++
 		d.stats.PromotedBytes += size
@@ -765,7 +763,7 @@ func (d *Daemon) Store(a mem.Addr, v uint64, size uint) {
 func (d *Daemon) SetTrap(h core.TrapHandler) {
 	d.guestTrap = h
 	if d.ownHeat {
-		d.Machine.SetTrap(d.trapTap)
+		d.Machine.SetTrap(d.tap)
 		return
 	}
 	d.Machine.SetTrap(h)
@@ -786,12 +784,11 @@ func (d *Daemon) Malloc(n uint64) mem.Addr {
 
 // Free intercepts a deallocation: release residency, tick, delegate.
 func (d *Daemon) Free(a mem.Addr) {
-	if r, ok := d.resident[a]; ok {
-		d.dropResidency(a, r)
-	}
 	// A freed base may be recycled before the next wake; stale heat
 	// history must not be charged to the newcomer.
-	delete(d.track, a)
+	if b, ok := d.blocks[a]; ok {
+		d.forget(a, b)
+	}
 	d.tick()
 	d.Machine.Free(a)
 	if d.ownHeat {
