@@ -93,7 +93,9 @@ type (
 	TraceSink = obs.Sink
 	// MemorySink retains events in memory (test support).
 	MemorySink = obs.MemorySink
-	// MetricsRegistry is the named counter/gauge/histogram registry.
+	// MetricsRegistry is the flat namespace of read-only metric views
+	// (gauges, gauge groups, attached histograms) that every /metrics
+	// document is rendered from.
 	MetricsRegistry = obs.Registry
 	// Sample is one point of the sampler time-series.
 	Sample = obs.Sample
@@ -152,10 +154,6 @@ func NewPerfettoSink(w io.Writer) TraceSink { return obs.NewPerfettoSink(w) }
 // MultiSink fans one tracer out to several sinks.
 func MultiSink(sinks ...TraceSink) TraceSink { return obs.MultiSink(sinks...) }
 
-// NoCloseSink shields a shared sink (typically an EventBroadcaster)
-// from the Close of short-lived tracers writing into it.
-func NoCloseSink(s TraceSink) TraceSink { return obs.NoClose(s) }
-
 // NewEventBroadcaster returns an empty live-event hub.
 func NewEventBroadcaster() *EventBroadcaster { return obs.NewBroadcaster() }
 
@@ -170,7 +168,8 @@ func NewHeatMap(maxObjects int, epochEvery uint64) *HeatMap {
 func NewSpanTable(capacity int) *SpanTable { return obs.NewSpanTable(capacity) }
 
 // TelemetryServer is the live HTTP telemetry plane: /metrics, /samples,
-// /heatmap, /spans, and the /events NDJSON stream.
+// /heatmap, /spans, and the /events NDJSON stream. Watch publishes one
+// machine on it.
 type TelemetryServer = telemetry.Server
 
 // StartTelemetry binds the telemetry server to addr (":0" picks a free

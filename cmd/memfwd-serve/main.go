@@ -25,10 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"memfwd"
-	"memfwd/internal/obs"
 	"memfwd/internal/serve"
 	"memfwd/internal/sim"
 )
@@ -42,8 +39,6 @@ func main() {
 		addr   = flag.String("addr", "127.0.0.1:8377", "listen address (\":0\" picks a free port)")
 		shards = flag.Int("shards", 4, "worker shards sessions are distributed over")
 		line   = flag.Int("line", 0, "cache line size for session machines (0 = simulator default)")
-
-		telemetryAddr = flag.String("telemetry", "", "also serve the observability telemetry plane on this address, publishing the session server's gauges")
 
 		storeDir = flag.String("store-dir", "", "persist every session to this directory (crash-safe snapshots + write-ahead logs); empty serves memory-only")
 		recover_ = flag.Bool("recover", false, "before serving, scan -store-dir and re-materialize every recoverable session and snapshot (requires -store-dir; the server must be configured like the one that wrote the store)")
@@ -103,24 +98,6 @@ func main() {
 		os.Exit(1)
 	}
 	logf("session server on http://%s (%d shards)", sv.Addr(), *shards)
-
-	if *telemetryAddr != "" {
-		plane, err := memfwd.BootTelemetry(*telemetryAddr, 0, logf)
-		if err != nil {
-			logf("%v", err)
-			os.Exit(1)
-		}
-		defer plane.Shutdown() //nolint:errcheck // best-effort teardown on exit
-		srv := plane.Server()
-		plane.StartPublisher(time.Second, func() {
-			snap := sv.MetricsSnapshot()
-			vals := make([]obs.MetricValue, 0, len(snap))
-			for name, v := range snap {
-				vals = append(vals, obs.MetricValue{Name: name, Value: v})
-			}
-			srv.PublishMetrics(vals)
-		})
-	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -229,14 +229,6 @@ func main() {
 		// a second Shutdown anywhere could never linger again.
 		defer plane.Shutdown()
 		telSrv = plane.Server()
-		// The hub is shared infrastructure: shield it from the
-		// tracer's Close so /events outlives the trace files.
-		sinks = append(sinks, memfwd.NoCloseSink(telSrv.Hub()))
-	}
-	var tracer *memfwd.Tracer
-	if len(sinks) > 0 {
-		tracer = memfwd.NewTracer(memfwd.MultiSink(sinks...), 0)
-		m.SetTracer(tracer)
 	}
 
 	var series *memfwd.SampleSeries
@@ -277,25 +269,17 @@ func main() {
 		}
 	}
 
-	// The telemetry plane publishes immutable snapshots at sampler
-	// cadence from the machine's own goroutine (the registry and heat
-	// map are not thread-safe, so the server never reads them live).
-	var pub *memfwd.SampleSeries
-	publish := func() {
-		telSrv.PublishMetrics(reg.Snapshot())
-		telSrv.PublishHeat(heat.Snapshot(32))
-		telSrv.PublishSpans(spans.Snapshot(64))
-		cp := make([]memfwd.Sample, len(pub.Samples))
-		copy(cp, pub.Samples)
-		telSrv.PublishSamples(pub.Every, cp)
-	}
+	// With the telemetry plane on, Watch builds the tracer over the hub
+	// and the sinks, and publishes the registry, heat map, spans and
+	// series at sampler cadence from this goroutine (none of them is
+	// thread-safe, so the server never reads them live).
+	var tracer *memfwd.Tracer
+	publish := func() {}
 	if telSrv != nil {
-		pub = series
-		if pub == nil {
-			pub = &memfwd.SampleSeries{}
-			m.SetSampleEvery(50_000, pub)
-		}
-		pub.OnAdd = func(memfwd.Sample) { publish() }
+		tracer, publish = telSrv.Watch(m, series, reg, sinks...)
+	} else if len(sinks) > 0 {
+		tracer = memfwd.NewTracer(memfwd.MultiSink(sinks...), 0)
+		m.SetTracer(tracer)
 	}
 	if *faultSpec != "" {
 		fseed := *faultSeed
@@ -373,9 +357,7 @@ func main() {
 		grp.Close()
 	}
 	st := m.Finalize()
-	if telSrv != nil {
-		publish() // final snapshots: the lingering server serves end state
-	}
+	publish() // final snapshots: the lingering server serves end state
 
 	if err := tracer.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "memfwd-sim: trace:", err)

@@ -164,11 +164,6 @@ type Options struct {
 	Telemetry *telemetry.Server
 }
 
-// telemetrySampleEvery is the publication cadence (in graduated
-// instructions) used when telemetry is on but no explicit SampleEvery
-// was requested.
-const telemetrySampleEvery = 50_000
-
 // Norm applies the defaults used throughout the paper's evaluation.
 func (o Options) Norm() Options {
 	if o.Seed == 0 {
@@ -255,6 +250,10 @@ func localityApps() []App {
 }
 
 // RunOne executes one (app, line, variant) cell and returns its Run.
+// The tiering variants run on a 2-tier machine under the migrator
+// daemon, which shares the machine's heat map (full trap and hop
+// attribution, the same wiring as memfwd-sim -tiers); Static and
+// Adaptive differ only in the daemon's one-shot mode.
 func RunOne(a App, line int, v Variant, block int, o Options) Run {
 	o = o.Norm()
 	mc := MachineConfig{LineSize: line}
@@ -275,6 +274,8 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 	case VariantPerf:
 		cfg.Opt = true
 		mc.PerfectForwarding = true
+	case VariantStatic, VariantAdaptive:
+		mc.Tiers = mem.DefaultTierConfig(2, DefaultMachineConfig().MemLatency)
 	}
 	m := NewMachine(mc)
 	if inj := o.armFault(exp.Spec{App: a.Name, Line: line, Variant: string(v), Block: block}); inj != nil {
@@ -285,34 +286,23 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 		series = &SampleSeries{Every: o.SampleEvery}
 		m.SetSampleEvery(o.SampleEvery, series)
 	}
+	if mc.Tiers != nil {
+		// The migrator refuses to demote blocks the heat map does not
+		// track, so the table must cover the whole heap.
+		m.SetHeatMap(NewHeatMap(tier.HeatObjects, 0))
+	}
 	if t := o.Telemetry; t != nil {
-		lt := obs.NewTracer(obs.NoClose(t.Hub()), 256)
+		lt, _ := t.Watch(m, series, nil)
+		// Cells run concurrently into one hub: structural events only,
+		// so cache-miss volume cannot flood the stream.
 		lt.EnableOnly(obs.KAlloc, obs.KFree, obs.KRelocate, obs.KTrap,
 			obs.KPhaseBegin, obs.KPhaseEnd, obs.KSpanBegin, obs.KSpanEnd)
-		m.SetTracer(lt)
-		defer lt.Close() // flushes; NoClose shields the shared hub
-		heat := obs.NewHeatMap(0, 0)
-		m.SetHeatMap(heat)
-		spans := obs.NewSpanTable(0)
-		m.SetSpans(spans)
-		// Publish snapshots at sampler cadence, piggybacking on the
-		// user's series when one is attached. Publishing runs on this
-		// cell's goroutine; the server hands out copies under its own
-		// lock, so concurrent cells just overwrite each other's
-		// snapshots (the live view tracks the most recent activity).
-		pub := series
-		if pub == nil {
-			pub = &SampleSeries{}
-			m.SetSampleEvery(telemetrySampleEvery, pub)
-		}
-		pub.OnAdd = func(obs.Sample) {
-			t.PublishHeat(heat.Snapshot(32))
-			t.PublishSpans(spans.Snapshot(64))
-			samples := make([]obs.Sample, len(pub.Samples))
-			copy(samples, pub.Samples)
-			t.PublishSamples(pub.Every, samples)
-		}
+		defer lt.Close() // flushes into the hub, which stays open
 	}
+	// The guest runs on the machine directly, or wrapped like memfwd-sim
+	// wraps it: the scheduling group interleaves relocator harts against
+	// the guest, and the migrator daemon sits outermost so its
+	// migrations hit the group's relocation barrier.
 	var guest app.Machine = m
 	var grp *sched.Group
 	if o.Harts > 1 {
@@ -330,6 +320,16 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 		defer grp.Close()
 		guest = grp
 	}
+	var daemon *tier.Daemon
+	if mc.Tiers != nil {
+		daemon = tier.New(guest, tier.Config{
+			Tiers:   mc.Tiers,
+			Seed:    o.Seed,
+			OneShot: v == VariantStatic,
+			Heat:    m.HeatMap(),
+		})
+		guest = daemon
+	}
 	res := a.Run(guest, cfg)
 	if grp != nil {
 		grp.Quiesce()
@@ -338,6 +338,10 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 	if grp != nil {
 		gs := grp.Stats()
 		r.Sched = &gs
+	}
+	if daemon != nil {
+		ts := daemon.Stats()
+		r.Tier = &ts
 	}
 	if series != nil {
 		r.Samples = series.Samples
@@ -740,44 +744,9 @@ func RunTiering(o Options) *TierRuns {
 		}
 	}
 	runs, errs := runEngine(o, specs, func(_ int, s exp.Spec) Run {
-		return runTierCell(MustApp(s.App), Variant(s.Variant), o)
+		return RunOne(MustApp(s.App), s.Line, Variant(s.Variant), 0, o)
 	})
 	return &TierRuns{Runs: runs, Errs: errs}
-}
-
-// runTierCell executes one (app, tier-variant) cell. The tiered
-// variants share one machine-owned heat map with the migrator (full
-// trap and hop attribution — the same wiring as memfwd-sim -tiers) and
-// differ only in Config.OneShot; placement physics is identical.
-func runTierCell(a App, v Variant, o Options) Run {
-	cfg := AppConfig{Seed: o.Seed, Scale: o.Scale}
-	spec := exp.Spec{App: a.Name, Variant: string(v)}
-	if v == VariantFlat {
-		m := NewMachine(MachineConfig{})
-		if inj := o.armFault(spec); inj != nil {
-			m.SetFaultInjector(inj)
-		}
-		res := a.Run(m, cfg)
-		return Run{App: a.Name, Variant: v, Stats: m.Finalize(), Result: res}
-	}
-	tc := mem.DefaultTierConfig(2, DefaultMachineConfig().MemLatency)
-	m := NewMachine(MachineConfig{Tiers: tc})
-	if inj := o.armFault(spec); inj != nil {
-		m.SetFaultInjector(inj)
-	}
-	h := NewHeatMap(tier.HeatObjects, 0)
-	m.SetHeatMap(h)
-	d := tier.New(m, tier.Config{
-		Tiers:   tc,
-		Seed:    o.Seed,
-		OneShot: v == VariantStatic,
-		Heat:    h,
-	})
-	res := a.Run(d, cfg)
-	r := Run{App: a.Name, Variant: v, Stats: m.Finalize(), Result: res}
-	ts := d.Stats()
-	r.Tier = &ts
-	return r
 }
 
 // Get returns the run for (app, variant).

@@ -1,33 +1,29 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
 	"memfwd/internal/report"
 )
 
-// Registry is a flat namespace of metrics. Subsystems register either
-// live instruments (Counter, Gauge, Histogram) or read-only GaugeFunc
-// views over statistics they already keep; Snapshot evaluates
-// everything at read time, so views are always current and cost nothing
-// between reads.
+// Registry is a flat namespace of read-only metric views over
+// statistics their subsystems already keep: GaugeFunc views one value,
+// GaugeGroup views several from one read, and AttachHistogram exposes a
+// histogram's buckets. Snapshot evaluates everything at read time, so
+// views are always current and cost nothing between reads.
 //
-// The registry is not safe for concurrent use, matching the Machine it
-// instruments.
+// Registration is not safe for concurrent use. Once it is done,
+// Snapshot may run concurrently with itself only if every registered
+// view is safe to call concurrently: the session server's views read
+// atomics and take the locks they need, a Machine's read its
+// unsynchronized Stats and must be evaluated on its own goroutine.
 type Registry struct {
 	names map[string]struct{}
-	items []metricItem
-}
-
-type metricItem struct {
-	name string
-	// expand appends one or more (name, value) pairs; histograms
+	// views emit one or more (name, value) pairs each; histograms
 	// expand to count/sum/bucket entries.
-	expand func(emit func(name string, v float64))
+	views []func(emit func(name string, v float64))
 }
 
 // NewRegistry returns an empty registry.
@@ -35,61 +31,23 @@ func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]struct{})}
 }
 
-func (r *Registry) register(name string, expand func(emit func(string, float64))) {
+// GaugeGroup registers a read-only view that emits several values per
+// snapshot from one evaluation, for gauges that share an expensive read
+// (one walk of a session table, one pause of a machine). name keys the
+// group for duplicate detection; the emitted names are the group's own.
+func (r *Registry) GaugeGroup(name string, expand func(emit func(name string, v float64))) {
 	if _, dup := r.names[name]; dup {
 		panic(fmt.Sprintf("obs: duplicate metric %q", name))
 	}
 	r.names[name] = struct{}{}
-	r.items = append(r.items, metricItem{name: name, expand: expand})
-}
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	v float64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n (must be non-negative to keep the counter monotone).
-func (c *Counter) Add(n float64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.v }
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.register(name, func(emit func(string, float64)) { emit(name, c.v) })
-	return c
-}
-
-// Gauge is a value that can move in either direction.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.register(name, func(emit func(string, float64)) { emit(name, g.v) })
-	return g
+	r.views = append(r.views, expand)
 }
 
 // GaugeFunc registers a read-only view evaluated at snapshot time.
 // This is how subsystems expose their existing Stats fields without
 // duplicating hot-path accounting.
 func (r *Registry) GaugeFunc(name string, f func() float64) {
-	r.register(name, func(emit func(string, float64)) { emit(name, f()) })
+	r.GaugeGroup(name, func(emit func(string, float64)) { emit(name, f()) })
 }
 
 // Histogram accumulates observations into cumulative buckets.
@@ -101,10 +59,10 @@ type Histogram struct {
 	max    float64
 }
 
-// NewHistogram builds an unregistered histogram with the given
-// ascending bucket upper bounds. Attach it to a registry with
-// AttachHistogram, or keep it private (the relocation span table keeps
-// its phase histograms either way).
+// NewHistogram builds a histogram with the given ascending bucket upper
+// bounds. Attach it to a registry with AttachHistogram, or keep it
+// private (the relocation span table keeps its phase histograms either
+// way). A histogram is not safe for concurrent use.
 func NewHistogram(bounds ...float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -180,7 +138,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // expands in snapshots to name.count, name.sum, and cumulative name.le*
 // entries.
 func (r *Registry) AttachHistogram(name string, h *Histogram) {
-	r.register(name, func(emit func(string, float64)) {
+	r.GaugeGroup(name, func(emit func(string, float64)) {
 		emit(name+".count", float64(h.n))
 		emit(name+".sum", h.sum)
 		var cum uint64
@@ -189,15 +147,6 @@ func (r *Registry) AttachHistogram(name string, h *Histogram) {
 			emit(fmt.Sprintf("%s.le%g", name, b), float64(cum))
 		}
 	})
-}
-
-// Histogram registers and returns a histogram with the given ascending
-// bucket upper bounds. It expands in snapshots to name.count, name.sum,
-// and cumulative name.le* entries.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	h := NewHistogram(bounds...)
-	r.AttachHistogram(name, h)
-	return h
 }
 
 // MetricValue is one evaluated metric.
@@ -210,8 +159,8 @@ type MetricValue struct {
 // name, so output is deterministic regardless of registration order.
 func (r *Registry) Snapshot() []MetricValue {
 	var out []MetricValue
-	for _, it := range r.items {
-		it.expand(func(name string, v float64) {
+	for _, view := range r.views {
+		view(func(name string, v float64) {
 			out = append(out, MetricValue{Name: name, Value: v})
 		})
 	}
@@ -246,29 +195,4 @@ func formatMetric(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%.4f", v)
-}
-
-// WriteJSON emits the snapshot as one JSON object keyed by metric name,
-// keys in sorted order.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	// Marshal by hand to keep key order deterministic (maps reorder).
-	if _, err := io.WriteString(w, "{\n"); err != nil {
-		return err
-	}
-	for i, mv := range snap {
-		key, err := json.Marshal(mv.Name)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if i == len(snap)-1 {
-			sep = "\n"
-		}
-		if _, err := fmt.Fprintf(w, "  %s: %s%s", key, formatMetric(mv.Value), sep); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "}\n")
-	return err
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"sort"
 	"strings"
 	"testing"
@@ -16,32 +14,38 @@ func snapMap(r *Registry) map[string]float64 {
 	return out
 }
 
-func TestCounterGaugeFunc(t *testing.T) {
+func TestGaugeFuncAndGroup(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits")
-	g := r.Gauge("occupancy")
 	backing := uint64(7)
 	r.GaugeFunc("view", func() float64 { return float64(backing) })
-
-	c.Inc()
-	c.Add(2)
-	g.Set(1.5)
-	g.Add(-0.5)
+	reads := 0
+	r.GaugeGroup("pair", func(emit func(string, float64)) {
+		reads++
+		emit("pair.a", float64(backing))
+		emit("pair.b", 2*float64(backing))
+	})
 
 	m := snapMap(r)
-	if m["hits"] != 3 || m["occupancy"] != 1.0 || m["view"] != 7 {
+	if m["view"] != 7 || m["pair.a"] != 7 || m["pair.b"] != 14 {
 		t.Fatalf("snapshot wrong: %v", m)
+	}
+	if _, ok := m["pair"]; ok {
+		t.Fatalf("group key leaked into the snapshot: %v", m)
+	}
+	if reads != 1 {
+		t.Fatalf("group evaluated %d times in one snapshot, want 1", reads)
 	}
 	// Views are live: changing the backing value changes the next read.
 	backing = 11
-	if snapMap(r)["view"] != 11 {
-		t.Fatal("GaugeFunc view is not live")
+	if m := snapMap(r); m["view"] != 11 || m["pair.b"] != 22 {
+		t.Fatalf("views are not live: %v", m)
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("hops", 1, 2, 4)
+	h := NewHistogram(1, 2, 4)
+	r.AttachHistogram("hops", h)
 	for _, v := range []float64{1, 1, 2, 3, 9} {
 		h.Observe(v)
 	}
@@ -64,25 +68,25 @@ func TestHistogramBadBoundsPanic(t *testing.T) {
 			t.Fatal("expected panic on non-ascending bounds")
 		}
 	}()
-	NewRegistry().Histogram("bad", 2, 1)
+	NewHistogram(2, 1)
 }
 
 func TestDuplicateNamePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	r.GaugeFunc("x", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate metric name")
 		}
 	}()
-	r.Gauge("x")
+	r.GaugeGroup("x", func(func(string, float64)) {})
 }
 
 func TestSnapshotSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zebra")
-	r.Counter("alpha")
-	r.Counter("mid")
+	for _, name := range []string{"zebra", "alpha", "mid"} {
+		r.GaugeFunc(name, func() float64 { return 0 })
+	}
 	snap := r.Snapshot()
 	names := make([]string, len(snap))
 	for i, mv := range snap {
@@ -93,23 +97,19 @@ func TestSnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestTableAndJSON(t *testing.T) {
+func TestTable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a.count").Add(4)
-	r.Gauge("b.rate").Set(0.25)
+	r.GaugeFunc("a.count", func() float64 { return 4 })
+	r.GaugeFunc("b.rate", func() float64 { return 0.25 })
+	zero := 0.0
+	r.GaugeFunc("c.nan", func() float64 { return zero / zero })
 	tab := r.Table().String()
-	if !strings.Contains(tab, "a.count") || !strings.Contains(tab, "0.2500") {
-		t.Fatalf("table missing entries:\n%s", tab)
+	for _, want := range []string{"a.count", "0.2500", "c.nan"} {
+		if !strings.Contains(tab, want) {
+			t.Fatalf("table missing %q:\n%s", want, tab)
+		}
 	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]float64
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("WriteJSON output not valid JSON: %v\n%s", err, buf.String())
-	}
-	if m["a.count"] != 4 || m["b.rate"] != 0.25 {
-		t.Fatalf("JSON values wrong: %v", m)
+	if strings.Contains(tab, "NaN") {
+		t.Fatalf("table renders a non-finite value:\n%s", tab)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"memfwd/internal/mem"
+	"memfwd/internal/obs"
 	"memfwd/internal/opt"
 	"memfwd/internal/oracle"
 	"memfwd/internal/sim"
@@ -136,7 +137,7 @@ func Selftest(cfg SelftestConfig, logf func(string, ...any)) error {
 	}
 	mets = sv.MetricsSnapshot()
 	for k, v := range mets {
-		if v != scrub(v) {
+		if v != obs.Finite(v) {
 			return fmt.Errorf("serve selftest: metric %s is not finite", k)
 		}
 	}

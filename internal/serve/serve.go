@@ -16,6 +16,7 @@ import (
 	"memfwd/internal/oracle"
 	"memfwd/internal/report"
 	"memfwd/internal/sim"
+	"memfwd/internal/telemetry"
 )
 
 // Config sizes a Server. Zero fields take defaults.
@@ -97,6 +98,9 @@ type Server struct {
 	// recovered is the last Recover() report (guarded by mu; zero when
 	// the server never recovered a store).
 	recovered RecoverReport
+
+	// reg holds the read-only views /metrics serves (see metrics.go).
+	reg *obs.Registry
 }
 
 // storedSnapshot is one server-held machine snapshot. The underlying
@@ -129,6 +133,7 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		sv.shards = append(sv.shards, &shard{id: i})
 	}
+	sv.reg = sv.registerMetrics()
 	return sv
 }
 
@@ -886,160 +891,6 @@ func (sv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown session")
 		return
 	}
-	sub := s.hub.Subscribe(64)
-	defer sub.Unsubscribe()
 	clearDeadlines(w) // the stream outlives any fixed write deadline
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	sink := obs.NewNDJSONSink(w)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case batch, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			if sink.WriteEvents(batch) != nil || sink.Close() != nil {
-				return // client went away; Close here only flushes
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
-}
-
-// scrub maps NaN/Inf to 0 (obs.Finite) so every computed gauge the
-// server exposes is JSON-encodable and monitoring-safe, whatever the
-// denominators were.
-var scrub = obs.Finite
-
-// MetricsSnapshot computes the /metrics gauge map (exported through the
-// handler; tests call it directly).
-func (sv *Server) MetricsSnapshot() map[string]float64 {
-	sv.mu.Lock()
-	sessions := make([]*Session, 0, len(sv.sessions))
-	for _, s := range sv.sessions {
-		sessions = append(sessions, s)
-	}
-	sv.mu.Unlock()
-	var ops, events, drops uint64
-	active := len(sessions)
-	var tierSessions int
-	var tierAgg tierView
-	for _, s := range sessions {
-		ops += s.ops()
-		e, d, _ := s.hub.Stats()
-		events += e
-		drops += d
-		if s.td == nil {
-			continue
-		}
-		// Tier gauges need the machine quiesced; take the session mutex
-		// like any other control-plane read and skip closed sessions.
-		s.mu.Lock()
-		if !s.closed {
-			if tv := s.tierSnapshot(); tv != nil {
-				tierSessions++
-				tierAgg.Stats.Wakes += tv.Stats.Wakes
-				tierAgg.Stats.Promotions += tv.Stats.Promotions
-				tierAgg.Stats.Demotions += tv.Stats.Demotions
-				tierAgg.Stats.Placed += tv.Stats.Placed
-				tierAgg.Stats.Spills += tv.Stats.Spills
-				tierAgg.Stats.Repaired += tv.Stats.Repaired
-				tierAgg.Stats.Remorse += tv.Stats.Remorse
-				tierAgg.NearBytes += tv.NearBytes
-				tierAgg.FarBytes += tv.FarBytes
-			}
-		}
-		s.mu.Unlock()
-	}
-	ops += sv.opsRetired.Load()
-	events += sv.eventsRetired.Load()
-	drops += sv.dropsRetired.Load()
-	created := sv.created.Load()
-
-	vals := map[string]float64{
-		"serve.shards":           float64(len(sv.shards)),
-		"serve.sessions.active":  float64(active),
-		"serve.sessions.created": float64(created),
-		"serve.sessions.closed":  float64(sv.closedCount.Load()),
-		"serve.migrations":       float64(sv.migrations.Load()),
-		"serve.snapshots":        float64(sv.snapshots.Load()),
-		"serve.restores":         float64(sv.restores.Load()),
-		"serve.ops":              float64(ops),
-		"serve.events":           float64(events),
-		"serve.events.dropped":   float64(drops),
-		// Computed ratios: zero denominators scrub to 0 (below), never
-		// NaN/Inf.
-		"serve.ops_per_session":      float64(ops) / float64(created),
-		"serve.sessions_per_shard":   float64(active) / float64(len(sv.shards)),
-		"serve.events.drop_fraction": float64(drops) / float64(events),
-		// Tiering, aggregated over live tiered sessions (all 0 when none).
-		"serve.tier.sessions":       float64(tierSessions),
-		"serve.tier.wakes":          float64(tierAgg.Stats.Wakes),
-		"serve.tier.promotions":     float64(tierAgg.Stats.Promotions),
-		"serve.tier.demotions":      float64(tierAgg.Stats.Demotions),
-		"serve.tier.placed":         float64(tierAgg.Stats.Placed),
-		"serve.tier.spills":         float64(tierAgg.Stats.Spills),
-		"serve.tier.repaired":       float64(tierAgg.Stats.Repaired),
-		"serve.tier.remorse":        float64(tierAgg.Stats.Remorse),
-		"serve.tier.near.bytesLive": float64(tierAgg.NearBytes),
-		"serve.tier.far.bytesLive":  float64(tierAgg.FarBytes),
-	}
-	quarantined := 0
-	for _, sh := range sv.shards {
-		prefix := fmt.Sprintf("serve.shard.%d.", sh.id)
-		vals[prefix+"active"] = float64(sh.active.Load())
-		vals[prefix+"created"] = float64(sh.created.Load())
-		vals[prefix+"migrated_in"] = float64(sh.migratedIn.Load())
-		vals[prefix+"migrated_out"] = float64(sh.migratedOut.Load())
-		vals[prefix+"inflight"] = float64(sh.inflight.Load())
-		vals[prefix+"shed"] = float64(sh.shed.Load())
-		vals[prefix+"strikes"] = float64(sh.strikes.Load())
-		q := 0.0
-		if sh.quarantined.Load() {
-			q = 1
-			quarantined++
-		}
-		vals[prefix+"quarantined"] = q
-	}
-	vals["serve.shed"] = float64(sv.shedCount.Load())
-	vals["serve.durability_lost"] = float64(sv.durabilityLost.Load())
-	vals["serve.shards.quarantined"] = float64(quarantined)
-	if st := sv.cfg.Store; st != nil {
-		vals["serve.store.appends"] = float64(st.appends.Load())
-		vals["serve.store.syncs"] = float64(st.syncs.Load())
-		vals["serve.store.retries"] = float64(st.retries.Load())
-		vals["serve.store.failures"] = float64(st.failures.Load())
-		vals["serve.store.checkpoints"] = float64(st.checkpoints.Load())
-		dead := 0.0
-		if st.Dead() {
-			dead = 1
-		}
-		vals["serve.store.dead"] = dead
-	}
-	sv.mu.Lock()
-	rec := sv.recovered
-	sv.mu.Unlock()
-	vals["serve.recovered.sessions"] = float64(rec.Sessions)
-	vals["serve.recovered.snapshots"] = float64(rec.Snapshots)
-	vals["serve.recovered.replayed_ops"] = float64(rec.ReplayedOps)
-	vals["serve.recovered.replayed_grants"] = float64(rec.ReplayedGrants)
-	vals["serve.recovered.tail_rollbacks"] = float64(rec.TailRollbacks)
-	vals["serve.recovered.scavenges"] = float64(rec.Scavenges)
-	vals["serve.recovered.damaged"] = float64(rec.Damaged)
-	for k, v := range vals {
-		vals[k] = scrub(v)
-	}
-	return vals
-}
-
-func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"metrics": sv.MetricsSnapshot()})
+	telemetry.StreamEvents(w, r, s.hub)
 }

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"memfwd/internal/obs"
 )
 
 // startServer boots a server on a free port and tears it down with the
@@ -305,7 +307,7 @@ func TestMetricsScrubbed(t *testing.T) {
 	sv := startServer(t, Config{Shards: 3})
 	mets := sv.MetricsSnapshot()
 	for k, v := range mets {
-		if v != scrub(v) {
+		if v != obs.Finite(v) {
 			t.Errorf("fresh-server metric %s = %v, want finite", k, v)
 		}
 	}

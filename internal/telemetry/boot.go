@@ -6,9 +6,8 @@ import (
 )
 
 // Plane couples a telemetry Server with the boot/linger/close lifecycle
-// that used to be duplicated (with slightly different defer orderings)
-// across cmd/memfwd-sim's two run paths and internal/figures, and that
-// cmd/memfwd-serve now shares. The contract the callers rely on:
+// that cmd/memfwd-sim's two run paths and internal/figures share. The
+// contract the callers rely on:
 //
 //   - Boot either returns a running Plane or an error — a failed server
 //     start can never leave a linger behind, because the linger lives
@@ -64,8 +63,8 @@ func (p *Plane) Addr() string { return p.srv.Addr() }
 // one final publish so the served snapshots reflect end state.
 // Everything publish touches must be safe for use off the simulation
 // goroutine (figures publishes a registry of thread-safe JobProgress
-// views; machines publishing their own non-thread-safe registries
-// should publish inline at sampler cadence instead).
+// views; a machine's registry is not thread-safe and is published by
+// Server.Watch at sampler cadence instead).
 func (p *Plane) StartPublisher(interval time.Duration, publish func()) {
 	p.pubWG.Add(1)
 	go func() {

@@ -1,6 +1,6 @@
-// Package telemetry is the live HTTP plane over the obs layer — the
-// first brick of memfwd-serve. A Server exposes read-only JSON views of
-// published snapshots plus an NDJSON live event stream:
+// Package telemetry is the live HTTP plane over the obs layer. A Server
+// exposes read-only JSON views of published snapshots plus an NDJSON
+// live event stream:
 //
 //	/metrics        registry snapshot (plus the hub's own counters)
 //	/samples        sampler time series
@@ -16,6 +16,10 @@
 // subscriber queues drop batches for slow clients rather than ever
 // stalling the producer. A wedged curl therefore costs the run one
 // failed channel send per trace flush, nothing more.
+//
+// WriteMetrics and StreamEvents are the plane's two renderers, shared
+// with the session server's /metrics and /sessions/{id}/events, so
+// every binary serves one metrics document and one event stream format.
 package telemetry
 
 import (
@@ -69,9 +73,8 @@ func Start(addr string) (*Server, error) {
 // Addr returns the bound listen address (resolved port for ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Hub returns the live-event broadcaster. Wire it into a tracer with
-// obs.NewTracer(obs.NoClose(s.Hub()), ...) — NoClose keeps a per-cell
-// tracer's Close from tearing the shared hub down.
+// Hub returns the live-event broadcaster /events streams; Watch wires a
+// machine's tracer into it.
 func (s *Server) Hub() *obs.Broadcaster { return s.hub }
 
 // closeTimeout bounds the graceful drain in Close. Short on purpose:
@@ -158,16 +161,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	snap := s.metrics
 	s.mu.RUnlock()
-	vals := make(map[string]float64, len(snap)+3)
-	for _, mv := range snap {
-		vals[mv.Name] = obs.Finite(mv.Value)
-	}
+	vals := MetricValues(snap)
 	// The hub's own health counters are always live, even between
 	// publishes.
 	events, dropped, subs := s.hub.Stats()
 	vals["telemetry.events"] = float64(events)
 	vals["telemetry.events.dropped"] = float64(dropped)
 	vals["telemetry.subscribers"] = float64(subs)
+	WriteMetrics(w, vals)
+}
+
+// MetricValues maps a registry snapshot to the /metrics value map, with
+// NaN and ±Inf mapped to 0 (obs.Finite): the one place a /metrics
+// document is made well-formed, whatever a computed gauge's
+// denominators were.
+func MetricValues(snap []obs.MetricValue) map[string]float64 {
+	vals := make(map[string]float64, len(snap)+3)
+	for _, mv := range snap {
+		vals[mv.Name] = obs.Finite(mv.Value)
+	}
+	return vals
+}
+
+// WriteMetrics serves the /metrics document, {"metrics": {name: value}},
+// with keys in sorted order.
+func WriteMetrics(w http.ResponseWriter, vals map[string]float64) {
 	writeJSON(w, map[string]any{"metrics": vals})
 }
 
@@ -210,20 +228,25 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, sp)
 }
 
-// handleEvents streams live trace events as NDJSON until the client
-// disconnects or the server closes. The subscriber queue is bounded;
-// batches that would block are dropped (and counted) rather than ever
-// back-pressuring the simulation.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sub := s.hub.Subscribe(64)
+	StreamEvents(w, r, s.hub)
+}
+
+// StreamEvents serves hub's live trace events to one client as NDJSON,
+// one JSON object per line, until the client disconnects or the hub
+// closes (queued batches drain first: the Broadcaster contract). The
+// subscriber queue is bounded; batches that would block are dropped
+// and counted rather than ever back-pressuring the producer. A server
+// with read or write deadlines must lift them first: the stream
+// outlives any fixed deadline.
+func StreamEvents(w http.ResponseWriter, r *http.Request, hub *obs.Broadcaster) {
+	sub := hub.Subscribe(64)
 	defer sub.Unsubscribe()
+	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	rc.Flush() //nolint:errcheck // an unflushable writer still streams
 	sink := obs.NewNDJSONSink(w)
 	for {
 		select {
@@ -236,9 +259,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if sink.WriteEvents(batch) != nil || sink.Close() != nil {
 				return // client went away; Close here only flushes
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			rc.Flush() //nolint:errcheck // as above
 		}
 	}
 }

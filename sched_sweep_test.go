@@ -132,3 +132,26 @@ func TestRunOneSchedStats(t *testing.T) {
 		t.Errorf("checksum diverged: harts=4 %#x, harts=1 %#x", r.Result.Checksum, single.Result.Checksum)
 	}
 }
+
+// TestTierCellHonorsHarts: a tiering cell runs through RunOne like every
+// other figure cell, so -harts reaches it. The migrator daemon wraps the
+// scheduling group, both report their accounting, and the checksum
+// matches the flat single-hart reference. mst, the smallest workload,
+// keeps the package's -race run short.
+func TestTierCellHonorsHarts(t *testing.T) {
+	a := MustApp("mst")
+	r := RunOne(a, 0, VariantAdaptive, 0, Options{Seed: 9, Harts: 2})
+	if r.Tier == nil || r.Sched == nil {
+		t.Fatalf("adaptive harts=2 cell: Tier %v, Sched %v; want both", r.Tier, r.Sched)
+	}
+	if r.Sched.Relocations == 0 {
+		t.Error("adaptive harts=2 cell committed no concurrent relocations")
+	}
+	flat := RunOne(a, 0, VariantFlat, 0, Options{Seed: 9})
+	if flat.Tier != nil || flat.Sched != nil {
+		t.Errorf("flat single-hart cell carries Tier %v / Sched %v", flat.Tier, flat.Sched)
+	}
+	if r.Result.Checksum != flat.Result.Checksum {
+		t.Errorf("checksum diverged: adaptive harts=2 %#x, flat %#x", r.Result.Checksum, flat.Result.Checksum)
+	}
+}
