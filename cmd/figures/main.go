@@ -40,7 +40,6 @@ func main() {
 
 		timeout      = flag.Duration("timeout", 0, "per-cell deadline (0 = unbounded); exceeding cells are marked incomplete, the rest still run")
 		suiteTimeout = flag.Duration("suite-timeout", 0, "whole-pipeline deadline (0 = unbounded)")
-		retries      = flag.Int("retries", 0, "re-run cells that report transient faults up to this many times")
 		faultSpec    = flag.String("fault", "", "arm a deterministic fault on matching cells: kind@point[:visit] (e.g. flip@relocate.copy-write)")
 		faultCell    = flag.String("fault-cell", "", "restrict -fault to cells whose label contains this substring (e.g. health/line32/L)")
 		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault corruption stream (0 = -seed)")
@@ -73,7 +72,6 @@ func main() {
 		Jobs:         *jobs,
 		JobTimeout:   *timeout,
 		SuiteTimeout: *suiteTimeout,
-		Retries:      *retries,
 		Fault:        *faultSpec,
 		FaultCell:    *faultCell,
 		FaultSeed:    *faultSeed,

@@ -80,7 +80,6 @@ func main() {
 		faultSpec = flag.String("fault", "", "arm a deterministic fault: kind@point[:visit] (e.g. flip@relocate.copy-write); a crashed or corrupted run exits 1 with the reason")
 		faultSeed = flag.Int64("fault-seed", 0, "seed for the fault corruption stream (0 = -seed)")
 		timeout   = flag.Duration("timeout", 0, "per-run deadline (0 = unbounded)")
-		retries   = flag.Int("retries", 0, "re-run on transient faults up to this many times")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a Go CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a Go heap profile (after GC) to this file at exit")
@@ -144,8 +143,8 @@ func main() {
 		}
 		o := memfwd.Options{
 			Seed: *seed, Scale: *scale, SampleEvery: *sampleEvery, Jobs: *jobs,
-			JobTimeout: *timeout, Retries: *retries,
-			Fault: *faultSpec, FaultSeed: *faultSeed,
+			JobTimeout: *timeout,
+			Fault:      *faultSpec, FaultSeed: *faultSeed,
 			Harts: *harts, SchedSeed: *schedSeed,
 		}
 		if *httpAddr != "" {
@@ -342,11 +341,11 @@ func main() {
 	}
 	spec := exp.Spec{App: a.Name, Line: *line, Variant: string(variantOf(*optOn, *prefetch, *perfect))}
 	_, jobErrs := exp.RunChecked(
-		exp.Config{Jobs: 1, JobTimeout: *timeout, Retries: *retries, RetrySeed: *seed},
+		exp.Config{Jobs: 1, JobTimeout: *timeout},
 		[]exp.Spec{spec},
-		func(int, exp.Spec) (struct{}, error) {
+		func(int, exp.Spec) struct{} {
 			res = a.Run(guest, appCfg)
-			return struct{}{}, nil
+			return struct{}{}
 		})
 	if len(jobErrs) > 0 {
 		fmt.Fprintf(os.Stderr, "memfwd-sim: run incomplete: %s\n", jobErrs[0].Reason())

@@ -121,14 +121,6 @@ type Options struct {
 	// cell is marked Incomplete ("timeout") and the rest still complete.
 	JobTimeout time.Duration
 
-	// Retries is how many times a cell reporting a transient fault is
-	// re-run (seeded backoff) before being marked Incomplete.
-	Retries int
-
-	// RetryBackoff is the base backoff before the first retry; <= 0
-	// takes the engine default.
-	RetryBackoff time.Duration
-
 	// Fault, when non-empty, arms a deterministic fault injector on
 	// matching cells, in the grammar of fault.ParseSpec:
 	// "kind@point[:visit]", e.g. "flipbit@relocate.copy-write:3".
@@ -189,9 +181,6 @@ func (o Options) engine() exp.Config {
 		Progress:   o.Progress,
 		Ctx:        o.Ctx,
 		JobTimeout: o.JobTimeout,
-		Retries:    o.Retries,
-		Backoff:    o.RetryBackoff,
-		RetrySeed:  o.Seed,
 	}
 }
 
@@ -222,9 +211,7 @@ func (o Options) armFault(s exp.Spec) *fault.Injector {
 // into a placeholder Run carrying the deterministic Incomplete reason,
 // so tables and JSON keep their shape when cells fail.
 func runEngine(o Options, specs []exp.Spec, f func(i int, s exp.Spec) Run) ([]Run, []*exp.JobError) {
-	runs, errs := exp.RunChecked(o.engine(), specs, func(i int, s exp.Spec) (Run, error) {
-		return f(i, s), nil
-	})
+	runs, errs := exp.RunChecked(o.engine(), specs, f)
 	for _, e := range errs {
 		runs[e.Index] = Run{
 			App:        e.Spec.App,
@@ -955,8 +942,8 @@ func RunFalseSharing(o Options) (*report.Table, []*exp.JobError) {
 		{App: "false-sharing", Variant: "packed"},
 		{App: "false-sharing", Variant: "relocated"},
 	}
-	runs, errs := exp.RunChecked(o.engine(), specs, func(_ int, s exp.Spec) (fsRun, error) {
-		return run(s.Variant == "relocated"), nil
+	runs, errs := exp.RunChecked(o.engine(), specs, func(_ int, s exp.Spec) fsRun {
+		return run(s.Variant == "relocated")
 	})
 	if len(errs) > 0 {
 		for _, e := range errs {

@@ -175,31 +175,23 @@ func CrashPoint(rng Rand, words int, writes bool) (fault.Point, int) {
 }
 
 // Relocate moves words words from src to tgt through the production
-// two-phase commit, opt.TryRelocate. A non-nil inj is installed for the
-// move; otherwise the machine's own injector, if any, journals it. A
-// crash or torn move is rolled forward from that journal and reported
-// as repaired. With no injector, TryRelocate's error is returned (the
-// heap is unchanged: copies are unreachable until planted); a failed
-// roll-forward panics.
-func Relocate(m app.Machine, src, tgt mem.Addr, words int, inj *fault.Injector) (repaired bool, err error) {
-	prev := m.FaultInjector()
-	if inj != nil {
-		m.SetFaultInjector(inj)
-	}
+// two-phase commit, opt.Context.TryRelocate, in the caller's context
+// c. A crash or torn move is rolled forward from c.Faults' journal and
+// reported as repaired. With no injector, TryRelocate's error is
+// returned (the heap is unchanged: copies are unreachable until
+// planted); a failed roll-forward panics. The machine's injector slot
+// is neither read nor written: each mover's injector travels in its
+// own context.
+func Relocate(m app.Machine, c opt.Context, src, tgt mem.Addr, words int) (repaired bool, err error) {
 	err = func() (err error) {
 		defer fault.RecoverCrash(&err)
-		return opt.TryRelocate(m, src, tgt, words)
+		return c.TryRelocate(m, src, tgt, words)
 	}()
-	if inj != nil {
-		m.SetFaultInjector(prev)
-	} else {
-		inj = prev
-	}
-	if err == nil || inj == nil {
+	if err == nil || c.Faults == nil {
 		return false, err
 	}
-	if _, serr := inj.Repair(m.Memory(), m.Forwarder()); serr != nil {
-		panic(fmt.Sprintf("agent: scavenge of %#x after %q (shots %v): %v", src, err, inj.Shots, serr))
+	if _, serr := c.Faults.Repair(m.Memory(), m.Forwarder()); serr != nil {
+		panic(fmt.Sprintf("agent: scavenge of %#x after %q (shots %v): %v", src, err, c.Faults.Shots, serr))
 	}
 	return true, nil
 }

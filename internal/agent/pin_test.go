@@ -43,6 +43,73 @@ func TestAgentDecisionsPinned(t *testing.T) {
 	}
 }
 
+// TestNoStaleInjector is the stale-injector regression test, on the
+// oracle stack of the pin above (chaos with faults over a faulted
+// 2-hart group, health, seed 11). Movers once shared the machine's one
+// injector slot: a faulted chaos move restored the injector it had
+// read before installing its own, which could be a faulted hart job's
+// still in flight, so the finished job's injector stayed installed and
+// blocked every later hart launch — the group stopped after 93 commits.
+// With every injector in its mover's own relocation context, the slot
+// is empty after the run and the group keeps launching to the end.
+func TestNoStaleInjector(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeats the oracle/health pin's run; skipped in -short mode")
+	}
+	eff := sim.New(sim.Config{}).Config()
+	om := oracle.New(oracle.Config{LineSize: eff.LineSize, HeapBase: eff.HeapBase, HeapLimit: eff.HeapLimit})
+	grp, rel := pinStack(t, om, func(g app.Machine) app.Machine { return g })
+	w := &launchWatch{grp: grp}
+	w.Interceptor = app.NewInterceptor(rel, w)
+	health.App.Run(w, app.Config{Seed: 11, Opt: true})
+	grp.Quiesce()
+	if inj := om.FaultInjector(); inj != nil {
+		t.Fatalf("machine's injector slot holds an injector after the run (shots %v); no mover may install one", inj.Shots)
+	}
+	if st := grp.Stats(); st.Relocations < 10*93 || st.Faulted == 0 {
+		t.Fatalf("group committed %d relocations (%d faulted); want at least 930 with faults", st.Relocations, st.Faulted)
+	}
+	if w.last < w.ops*9/10 {
+		t.Fatalf("group's last commit came at guest op %d of %d; want it in the final tenth of the run", w.last, w.ops)
+	}
+}
+
+// launchWatch counts guest data operations and notes the last one at
+// which the group's committed relocations had grown.
+type launchWatch struct {
+	app.Interceptor
+	grp       *sched.Group
+	ops, last int
+	committed int
+}
+
+func (w *launchWatch) op() {
+	w.ops++
+	if n := w.grp.Stats().Relocations; n > w.committed {
+		w.committed, w.last = n, w.ops
+	}
+}
+
+func (w *launchWatch) Load(a mem.Addr, size uint) uint64 {
+	w.op()
+	return w.Machine.Load(a, size)
+}
+
+func (w *launchWatch) Store(a mem.Addr, v uint64, size uint) {
+	w.op()
+	w.Machine.Store(a, v, size)
+}
+
+func (w *launchWatch) Malloc(n uint64) mem.Addr {
+	w.op()
+	return w.Machine.Malloc(n)
+}
+
+func (w *launchWatch) Free(a mem.Addr) {
+	w.op()
+	w.Machine.Free(a)
+}
+
 func pinOracle(t *testing.T, a app.App, cfg app.Config) string {
 	eff := sim.New(sim.Config{}).Config()
 	om := oracle.New(oracle.Config{LineSize: eff.LineSize, HeapBase: eff.HeapBase, HeapLimit: eff.HeapLimit})

@@ -83,11 +83,12 @@ type Machine interface {
 	LineSize() int
 
 	// Fault injection (internal/fault). A machine carries at most one
-	// injector; installing one hooks the tagged memory's
+	// machine-global injector; installing one hooks the tagged memory's
 	// Unforwarded_Write path and the forwarder's chain walk, and the
-	// relocation machinery (internal/opt) journals through it. Guests
-	// never consult the injector; a nil injector is the normal,
-	// fault-free state. SetFaultInjector(nil) uninstalls.
+	// guest's relocations (opt.MachineContext) journal through it.
+	// Agents keep their injectors in their own relocation contexts,
+	// never here. Guests never consult the injector; a nil injector is
+	// the normal, fault-free state. SetFaultInjector(nil) uninstalls.
 	FaultInjector() *fault.Injector
 	SetFaultInjector(in *fault.Injector)
 

@@ -21,11 +21,11 @@ func TestPanicDoesNotWedgePool(t *testing.T) {
 	var errs []*JobError
 	go func() {
 		defer close(done)
-		results, errs = RunChecked(Config{Jobs: 2}, specs, func(i int, s Spec) (int, error) {
+		results, errs = RunChecked(Config{Jobs: 2}, specs, func(i int, s Spec) int {
 			if i == 3 || i == 17 {
 				panic(fmt.Sprintf("boom %d", i))
 			}
-			return i * 7, nil
+			return i * 7
 		})
 	}()
 	select {
@@ -65,12 +65,12 @@ func TestCancellationMidSuite(t *testing.T) {
 	specs := specN(50)
 	var started sync.Map
 	p := &Progress{}
-	results, errs := RunChecked(Config{Jobs: 2, Ctx: ctx, Progress: p}, specs, func(i int, s Spec) (int, error) {
+	results, errs := RunChecked(Config{Jobs: 2, Ctx: ctx, Progress: p}, specs, func(i int, s Spec) int {
 		started.Store(i, true)
 		if i == 5 {
 			cancel()
 		}
-		return i + 1, nil
+		return i + 1
 	})
 	if len(errs) == 0 {
 		t.Fatal("no jobs were canceled")
@@ -146,11 +146,11 @@ func TestProgressConservation(t *testing.T) {
 		suites.Add(1)
 		go func(suite int) {
 			defer suites.Done()
-			_, _ = RunChecked(Config{Jobs: 3, Progress: p}, specN(60), func(i int, s Spec) (int, error) {
+			_, _ = RunChecked(Config{Jobs: 3, Progress: p}, specN(60), func(i int, s Spec) int {
 				if (i+suite)%7 == 0 {
-					return 0, errors.New("planned failure")
+					panic("planned failure")
 				}
-				return i, nil
+				return i
 			})
 		}(suite)
 	}
@@ -175,11 +175,11 @@ func TestJobTimeout(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	specs := specN(3)
-	results, errs := RunChecked(Config{Jobs: 3, JobTimeout: 20 * time.Millisecond}, specs, func(i int, s Spec) (int, error) {
+	results, errs := RunChecked(Config{Jobs: 3, JobTimeout: 20 * time.Millisecond}, specs, func(i int, s Spec) int {
 		if i == 1 {
 			<-block // exceeds the deadline
 		}
-		return i + 100, nil
+		return i + 100
 	})
 	if len(errs) != 1 || errs[0].Index != 1 || !errs[0].Timeout {
 		t.Fatalf("errs = %v", errs)
@@ -192,93 +192,14 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// TestTransientRetry checks the retry loop: transient errors are
-// retried with deterministic seeded backoff through the Sleep seam;
-// plain errors are not retried.
-func TestTransientRetry(t *testing.T) {
-	var mu sync.Mutex
-	var slept []time.Duration
-	attempts := map[int]int{}
-	cfg := Config{
-		Jobs:      1,
-		Retries:   3,
-		Backoff:   time.Millisecond,
-		RetrySeed: 42,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept = append(slept, d)
-			mu.Unlock()
-		},
-	}
-	run := func(i int, s Spec) (int, error) {
-		mu.Lock()
-		attempts[i]++
-		n := attempts[i]
-		mu.Unlock()
-		switch i {
-		case 0: // succeeds on the third attempt
-			if n < 3 {
-				return 0, Transient(errors.New("soft fault"))
-			}
-			return 7, nil
-		case 1: // transient forever: exhausts retries
-			return 0, Transient(errors.New("always"))
-		default: // plain error: never retried
-			return 0, errors.New("hard")
-		}
-	}
-	results, errs := RunChecked(cfg, specN(3), run)
-	if results[0] != 7 || attempts[0] != 3 {
-		t.Fatalf("job 0: result %d after %d attempts", results[0], attempts[0])
-	}
-	if attempts[1] != cfg.Retries+1 {
-		t.Fatalf("job 1 ran %d times, want %d", attempts[1], cfg.Retries+1)
-	}
-	if attempts[2] != 1 {
-		t.Fatalf("plain error retried: %d attempts", attempts[2])
-	}
-	if len(errs) != 2 || errs[0].Index != 1 || errs[1].Index != 2 {
-		t.Fatalf("errs = %v", errs)
-	}
-	if errs[0].Attempts != cfg.Retries+1 || errs[1].Attempts != 1 {
-		t.Fatalf("attempt counts: %d, %d", errs[0].Attempts, errs[1].Attempts)
-	}
-	if !IsTransient(errs[0].Err) || IsTransient(errs[1].Err) {
-		t.Fatal("transient marking lost")
-	}
-	// Backoff doubles per attempt (plus jitter bounded by the base).
-	if len(slept) != 2+cfg.Retries {
-		t.Fatalf("slept %d times: %v", len(slept), slept)
-	}
-	for k, d := range slept {
-		if d < time.Millisecond {
-			t.Fatalf("sleep %d = %v below base", k, d)
-		}
-	}
-
-	// Same config, same seed: identical jitter sequence.
-	var slept2 []time.Duration
-	cfg.Sleep = func(d time.Duration) { slept2 = append(slept2, d) }
-	attempts = map[int]int{}
-	_, _ = RunChecked(cfg, specN(3), run)
-	if len(slept2) != len(slept) {
-		t.Fatalf("second run slept %d times, want %d", len(slept2), len(slept))
-	}
-	for k := range slept {
-		if slept[k] != slept2[k] {
-			t.Fatalf("jitter not deterministic: %v vs %v", slept, slept2)
-		}
-	}
-}
-
 func TestSuiteDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	block := make(chan struct{})
 	defer close(block)
-	_, errs := RunChecked(Config{Jobs: 1, Ctx: ctx}, specN(2), func(i int, s Spec) (int, error) {
+	_, errs := RunChecked(Config{Jobs: 1, Ctx: ctx}, specN(2), func(i int, s Spec) int {
 		<-block
-		return 0, nil
+		return 0
 	})
 	if len(errs) != 2 {
 		t.Fatalf("errs = %v", errs)

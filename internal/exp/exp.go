@@ -18,9 +18,7 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -90,30 +88,12 @@ type Config struct {
 	// preempted; the abandoned goroutine finishes on its own machine
 	// and its result is discarded).
 	JobTimeout time.Duration
-
-	// Retries is how many times a job whose error is marked Transient
-	// is re-run (seeded exponential backoff between attempts) before
-	// its error is recorded. Panics, timeouts, and plain errors are
-	// never retried — only errors wrapped by Transient.
-	Retries int
-
-	// Backoff is the base backoff before the first retry, doubling per
-	// attempt with seeded jitter; <= 0 takes 10ms.
-	Backoff time.Duration
-
-	// RetrySeed seeds the per-job jitter stream (plus the job index, so
-	// jitter is deterministic per cell at any worker count).
-	RetrySeed int64
-
-	// Sleep replaces time.Sleep between retries (test seam); nil takes
-	// time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // JobError describes one job the engine could not complete. Exactly
-// one of the cause fields is meaningful: Panic (with Stack) for a
-// recovered panic, Timeout for a per-job deadline, Canceled for suite
-// cancellation, else Err.
+// one cause is set: Panic (with Stack) for a recovered panic, Timeout
+// for a per-job deadline, Canceled (with the context's Err) for suite
+// cancellation.
 type JobError struct {
 	Index int
 	Spec  Spec
@@ -123,15 +103,11 @@ type JobError struct {
 	Stack    []byte
 	Timeout  bool
 	Canceled bool
-
-	// Attempts is how many times the job ran (> 1 only after retries).
-	Attempts int
 }
 
-// Error renders the full diagnostic (may include attempt counts; use
-// Reason for deterministic output).
+// Error renders the full diagnostic.
 func (e *JobError) Error() string {
-	return fmt.Sprintf("exp: job %d (%s) failed: %s (attempt %d)", e.Index, e.Spec, e.Reason(), e.Attempts)
+	return fmt.Sprintf("exp: job %d (%s) failed: %s", e.Index, e.Spec, e.Reason())
 }
 
 // Unwrap exposes Err to errors.Is/As chains.
@@ -150,33 +126,8 @@ func (e *JobError) Reason() string {
 		return "canceled"
 	case e.Panic != nil:
 		return fmt.Sprintf("panic: %v", e.Panic)
-	case e.Err != nil:
-		return "error: " + e.Err.Error()
 	}
 	return "failed"
-}
-
-// transientErr marks an error as retryable.
-type transientErr struct{ err error }
-
-func (t transientErr) Error() string { return "transient: " + t.err.Error() }
-func (t transientErr) Unwrap() error { return t.err }
-
-// Transient wraps err so RunChecked retries the job (up to
-// Config.Retries attempts with seeded backoff). Jobs report transient
-// faults — a resource briefly unavailable, an injected soft fault —
-// by returning Transient(err).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientErr{err: err}
-}
-
-// IsTransient reports whether err is marked Transient.
-func IsTransient(err error) bool {
-	var t transientErr
-	return errors.As(err, &t)
 }
 
 // RunChecked executes run(i, specs[i]) for every spec across a worker
@@ -185,18 +136,17 @@ func IsTransient(err error) bool {
 // keeps tables, golden files, and -json output byte-identical between
 // -jobs=1 and -jobs=N.
 //
-// Failures are contained per job: a job that panics, errors, times out
+// Failures are contained per job: a job that panics, times out
 // (Config.JobTimeout), or is cancelled (Config.Ctx) becomes a JobError
 // instead of crashing the suite, and every other cell still completes
 // and lands at its spec index. The returned errors are in index order;
-// results at failed indices are the zero R. Jobs whose errors are
-// marked Transient are retried with seeded backoff (Config.Retries).
+// results at failed indices are the zero R.
 //
 // Workers claim job indices from a shared atomic counter, so a worker
 // that dies or is abandoned can never wedge submission — the old
 // channel-fed pool deadlocked the submitting goroutine if a worker
 // exited without draining it.
-func RunChecked[R any](cfg Config, specs []Spec, run func(i int, s Spec) (R, error)) ([]R, []*JobError) {
+func RunChecked[R any](cfg Config, specs []Spec, run func(i int, s Spec) R) ([]R, []*JobError) {
 	results := make([]R, len(specs))
 	if len(specs) == 0 {
 		return results, nil
@@ -251,7 +201,7 @@ func RunChecked[R any](cfg Config, specs []Spec, run func(i int, s Spec) (R, err
 				}
 				emit(obs.KPhaseBegin, i)
 				t0 := time.Now()
-				r, jerr := runJob(ctx, cfg, i, specs[i], run)
+				r, jerr := runJob(ctx, cfg.JobTimeout, i, specs[i], run)
 				d := time.Since(t0)
 				emit(obs.KPhaseEnd, i)
 				if jerr != nil {
@@ -275,87 +225,55 @@ func RunChecked[R any](cfg Config, specs []Spec, run func(i int, s Spec) (R, err
 	return results, out
 }
 
-// jobOutcome is what one attempt of one job produced.
+// jobOutcome is what one job produced.
 type jobOutcome[R any] struct {
 	r     R
-	err   error
 	pan   any
 	stack []byte
 }
 
-// runJob executes one job with panic recovery, the per-job deadline,
-// and the transient-retry loop.
-func runJob[R any](ctx context.Context, cfg Config, i int, s Spec, run func(int, Spec) (R, error)) (R, *JobError) {
-	var zero R
-	sleep := cfg.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	var rng *rand.Rand
-	for attempt := 1; ; attempt++ {
-		out, timedOut, canceled := invoke(ctx, cfg.JobTimeout, i, s, run)
-		switch {
-		case timedOut:
-			return zero, &JobError{Index: i, Spec: s, Timeout: true, Attempts: attempt}
-		case canceled:
-			return zero, &JobError{Index: i, Spec: s, Canceled: true, Err: ctx.Err(), Attempts: attempt}
-		case out.pan != nil:
-			return zero, &JobError{Index: i, Spec: s, Panic: out.pan, Stack: out.stack, Attempts: attempt}
-		case out.err == nil:
-			return out.r, nil
-		case IsTransient(out.err) && attempt <= cfg.Retries:
-			cfg.Progress.retry()
-			if rng == nil {
-				rng = rand.New(rand.NewSource(cfg.RetrySeed*1_000_003 + int64(i)))
-			}
-			base := cfg.Backoff
-			if base <= 0 {
-				base = 10 * time.Millisecond
-			}
-			d := base << uint(attempt-1)
-			sleep(d + time.Duration(rng.Int63n(int64(base))))
-		default:
-			return zero, &JobError{Index: i, Spec: s, Err: out.err, Attempts: attempt}
-		}
-	}
-}
-
-// invoke runs one attempt. With no deadline and no cancellable
-// context, it calls run directly on the worker goroutine; otherwise it
-// runs the attempt on its own goroutine and selects against the
-// deadline and the context, abandoning the attempt on expiry (the
-// buffered channel lets the abandoned goroutine finish and be
-// collected; only invoke's caller touches shared state).
-func invoke[R any](ctx context.Context, timeout time.Duration, i int, s Spec, run func(int, Spec) (R, error)) (out jobOutcome[R], timedOut, canceled bool) {
-	attempt := func() (o jobOutcome[R]) {
+// runJob executes one job with panic recovery and the per-job
+// deadline. With no deadline and no cancellable context, it calls run
+// directly on the worker goroutine; otherwise it runs the job on its
+// own goroutine and selects against the deadline and the context,
+// abandoning the job on expiry (the buffered channel lets the
+// abandoned goroutine finish and be collected; only runJob's caller
+// touches shared state).
+func runJob[R any](ctx context.Context, timeout time.Duration, i int, s Spec, run func(int, Spec) R) (R, *JobError) {
+	call := func() (o jobOutcome[R]) {
 		defer func() {
 			if p := recover(); p != nil {
 				o.pan = p
 				o.stack = debug.Stack()
 			}
 		}()
-		o.r, o.err = run(i, s)
+		o.r = run(i, s)
 		return o
 	}
+	var out jobOutcome[R]
 	if timeout <= 0 && ctx.Done() == nil {
-		return attempt(), false, false
+		out = call()
+	} else {
+		ch := make(chan jobOutcome[R], 1)
+		go func() { ch <- call() }()
+		var timer <-chan time.Time
+		if timeout > 0 {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			timer = t.C
+		}
+		select {
+		case out = <-ch:
+		case <-timer:
+			return out.r, &JobError{Index: i, Spec: s, Timeout: true}
+		case <-ctx.Done():
+			return out.r, &JobError{Index: i, Spec: s, Canceled: true, Err: ctx.Err()}
+		}
 	}
-	ch := make(chan jobOutcome[R], 1)
-	go func() { ch <- attempt() }()
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
+	if out.pan != nil {
+		return out.r, &JobError{Index: i, Spec: s, Panic: out.pan, Stack: out.stack}
 	}
-	select {
-	case out = <-ch:
-		return out, false, false
-	case <-timer:
-		return out, true, false
-	case <-ctx.Done():
-		return out, false, true
-	}
+	return out.r, nil
 }
 
 // Progress is the engine's observable state: jobs queued, running, and
@@ -370,7 +288,6 @@ type Progress struct {
 	running   int
 	done      int
 	failed    int
-	retried   int
 	workers   int
 	startedAt time.Time
 	wallSum   time.Duration
@@ -415,16 +332,6 @@ func (p *Progress) start(workers int) {
 	if workers > p.workers {
 		p.workers = workers
 	}
-	p.mu.Unlock()
-}
-
-// retry counts one transient-failure retry.
-func (p *Progress) retry() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.retried++
 	p.mu.Unlock()
 }
 
@@ -567,16 +474,6 @@ func (p *Progress) CellWallLast() time.Duration {
 	return p.lastSpan
 }
 
-// Retried returns the number of transient-failure retries performed.
-func (p *Progress) Retried() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retried
-}
-
 // Workers returns the widest worker pool seen so far.
 func (p *Progress) Workers() int {
 	if p == nil {
@@ -617,7 +514,6 @@ func (p *Progress) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("exp.cell.wall_seconds.sum", func() float64 { return p.CellWallSum().Seconds() })
 	r.GaugeFunc("exp.cell.wall_seconds.max", func() float64 { return p.CellWallMax().Seconds() })
 	r.GaugeFunc("exp.cell.wall_seconds.last", func() float64 { return p.CellWallLast().Seconds() })
-	r.GaugeFunc("exp.jobs.retried", func() float64 { return float64(p.Retried()) })
 	r.GaugeFunc("exp.workers", func() float64 { return float64(p.Workers()) })
 	r.GaugeFunc("exp.pool.utilization", func() float64 { return p.Utilization() })
 }

@@ -21,9 +21,7 @@ func specN(n int) []Spec {
 // JobError as a test failure. It may be called off the test goroutine.
 func runAll[R any](t *testing.T, cfg Config, specs []Spec, f func(i int, s Spec) R) []R {
 	t.Helper()
-	results, errs := RunChecked(cfg, specs, func(i int, s Spec) (R, error) {
-		return f(i, s), nil
-	})
+	results, errs := RunChecked(cfg, specs, f)
 	for _, e := range errs {
 		t.Errorf("unexpected job failure: %v", e)
 	}

@@ -1,53 +1,15 @@
 package exp
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"memfwd/internal/obs"
 )
 
-// TestProgressRetriedCount: every transient re-run advances the retry
-// counter; hard failures and successes do not.
-func TestProgressRetriedCount(t *testing.T) {
-	p := &Progress{}
-	attempts := make([]int32, 6)
-	results, errs := RunChecked(Config{Jobs: 2, Retries: 2, Progress: p}, specN(6),
-		func(i int, s Spec) (int, error) {
-			n := atomic.AddInt32(&attempts[i], 1)
-			// Even cells fail transiently twice, then succeed.
-			if i%2 == 0 && n <= 2 {
-				return 0, Transient(errTransientTest)
-			}
-			return i, nil
-		})
-	if len(errs) != 0 {
-		t.Fatalf("unexpected errors: %v", errs)
-	}
-	for i, r := range results {
-		if r != i {
-			t.Fatalf("result %d = %d", i, r)
-		}
-	}
-	// Three even cells × two transient re-runs each.
-	if got := p.Retried(); got != 6 {
-		t.Fatalf("Retried = %d, want 6", got)
-	}
-	if p.Failed() != 0 {
-		t.Fatalf("Failed = %d, want 0", p.Failed())
-	}
-}
-
-var errTransientTest = timeoutish("flaky")
-
-type timeoutish string
-
-func (e timeoutish) Error() string { return string(e) }
-
 func TestProgressWorkersAndUtilization(t *testing.T) {
 	var nilP *Progress
-	if nilP.Retried() != 0 || nilP.Workers() != 0 || nilP.Utilization() != 0 {
+	if nilP.Workers() != 0 || nilP.Utilization() != 0 {
 		t.Fatal("nil Progress telemetry accessors not zero")
 	}
 	p := &Progress{}
@@ -55,9 +17,9 @@ func TestProgressWorkersAndUtilization(t *testing.T) {
 		t.Fatal("Utilization before any run should be 0")
 	}
 	_, errs := RunChecked(Config{Jobs: 3, Progress: p}, specN(9),
-		func(i int, s Spec) (int, error) {
+		func(i int, s Spec) int {
 			time.Sleep(5 * time.Millisecond)
-			return i, nil
+			return i
 		})
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
@@ -75,7 +37,7 @@ func TestProgressWorkersAndUtilization(t *testing.T) {
 		t.Fatalf("Utilization = %v, want <= 1", u)
 	}
 	// A wider second run raises the high-water worker count.
-	RunChecked(Config{Jobs: 5, Progress: p}, specN(5), func(i int, s Spec) (int, error) { return i, nil })
+	RunChecked(Config{Jobs: 5, Progress: p}, specN(5), func(i int, s Spec) int { return i })
 	if p.Workers() != 5 {
 		t.Fatalf("Workers after wider run = %d, want 5", p.Workers())
 	}
@@ -85,21 +47,14 @@ func TestProgressTelemetryMetrics(t *testing.T) {
 	p := &Progress{}
 	r := obs.NewRegistry()
 	p.RegisterMetrics(r)
-	attempts := make([]int32, 4)
-	RunChecked(Config{Jobs: 2, Retries: 1, Progress: p}, specN(4),
-		func(i int, s Spec) (int, error) {
-			if atomic.AddInt32(&attempts[i], 1) == 1 && i == 0 {
-				return 0, Transient(errTransientTest)
-			}
+	RunChecked(Config{Jobs: 2, Progress: p}, specN(4),
+		func(i int, s Spec) int {
 			time.Sleep(time.Millisecond)
-			return i, nil
+			return i
 		})
 	vals := map[string]float64{}
 	for _, mv := range r.Snapshot() {
 		vals[mv.Name] = mv.Value
-	}
-	if vals["exp.jobs.retried"] != 1 {
-		t.Fatalf("exp.jobs.retried = %v, want 1", vals["exp.jobs.retried"])
 	}
 	if vals["exp.workers"] != 2 {
 		t.Fatalf("exp.workers = %v, want 2", vals["exp.workers"])

@@ -54,9 +54,6 @@ type Config struct {
 	// unbounded); on expiry remaining cells are reported incomplete.
 	SuiteTimeout time.Duration
 
-	// Retries re-runs cells that report transient faults.
-	Retries int
-
 	// Fault arms a deterministic fault injector on matching cells
 	// ("kind@point[:visit]", see internal/fault); FaultCell restricts it
 	// to cells whose label contains the substring, FaultSeed seeds the
@@ -113,7 +110,6 @@ func Run(cfg Config, stdout, stderr io.Writer) error {
 		SampleEvery: cfg.Sample,
 		Jobs:        cfg.Jobs,
 		JobTimeout:  cfg.JobTimeout,
-		Retries:     cfg.Retries,
 		Fault:       cfg.Fault,
 		FaultCell:   cfg.FaultCell,
 		FaultSeed:   cfg.FaultSeed,

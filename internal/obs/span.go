@@ -39,6 +39,11 @@ type RelocationSpan struct {
 	Tgt   uint64 `json:"tgt"`
 	Words int    `json:"words"`
 
+	// Hart is the hart that ran the relocation: 0 for the guest's own
+	// (and every agent running on the guest's hart), i for relocator
+	// hart i of a scheduling group.
+	Hart int `json:"hart,omitempty"`
+
 	// Chain length of the source's first word before the relocation,
 	// and after it committed (-1 when the span did not commit).
 	ChainBefore int `json:"chainBefore"`
@@ -104,12 +109,25 @@ type SpanTable struct {
 	n       int
 	wrapped bool
 
-	nextID    uint64
-	committed uint64
-	aborted   uint64
-	torn      uint64
+	nextID uint64
+	outcomeTally
+	byHart []outcomeTally // indexed by RelocationSpan.Hart
 
 	hCopy, hVerify, hPlant, hTotal *Histogram
+}
+
+// outcomeTally counts spans by outcome.
+type outcomeTally struct{ committed, aborted, torn uint64 }
+
+func (o *outcomeTally) add(r RelocOutcome) {
+	switch r {
+	case RelocCommitted:
+		o.committed++
+	case RelocTorn:
+		o.torn++
+	default:
+		o.aborted++
+	}
 }
 
 // DefaultSpanCap is the ring capacity when none is given.
@@ -141,14 +159,11 @@ func (t *SpanTable) Record(s RelocationSpan) uint64 {
 	}
 	t.nextID++
 	s.ID = t.nextID
-	switch s.Outcome {
-	case RelocCommitted:
-		t.committed++
-	case RelocTorn:
-		t.torn++
-	default:
-		t.aborted++
+	t.add(s.Outcome)
+	for len(t.byHart) <= s.Hart {
+		t.byHart = append(t.byHart, outcomeTally{})
 	}
+	t.byHart[s.Hart].add(s.Outcome)
 	if s.CopyCycles >= 0 {
 		t.hCopy.Observe(float64(s.CopyCycles))
 	}
@@ -287,7 +302,8 @@ func (t *SpanTable) Snapshot(maxRecent int) SpanSnapshot {
 
 // Report renders the relocation-span digest: outcome tallies and the
 // p50/p95/max cycle cost of each two-phase-commit phase (the
-// -relocation-report table).
+// -relocation-report table). When harts other than the guest's ran
+// relocations, the outcomes are also split by hart.
 func (t *SpanTable) Report() *report.Table {
 	tab := report.New("Relocation spans (two-phase commit cost per phase)",
 		"phase", "count", "p50 cyc", "p95 cyc", "max cyc")
@@ -300,9 +316,17 @@ func (t *SpanTable) Report() *report.Table {
 			fmt.Sprintf("%.0f", ph.h.Quantile(0.95)),
 			fmt.Sprintf("%.0f", ph.h.Max()))
 	}
-	tab.Add("outcomes",
-		fmt.Sprintf("%d committed", t.committed),
-		fmt.Sprintf("%d aborted", t.aborted),
-		fmt.Sprintf("%d torn", t.torn), "")
+	addOutcomes := func(label string, o outcomeTally) {
+		tab.Add(label,
+			fmt.Sprintf("%d committed", o.committed),
+			fmt.Sprintf("%d aborted", o.aborted),
+			fmt.Sprintf("%d torn", o.torn), "")
+	}
+	addOutcomes("outcomes", t.outcomeTally)
+	if len(t.byHart) > 1 {
+		for h, o := range t.byHart {
+			addOutcomes(fmt.Sprintf("hart %d", h), o)
+		}
+	}
 	return tab
 }

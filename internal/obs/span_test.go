@@ -147,6 +147,26 @@ func TestSpanTableReport(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
+	// Only the guest's hart so far: no per-hart rows, no hart in JSON.
+	if strings.Contains(out, "hart") {
+		t.Fatalf("single-hart report split by hart:\n%s", out)
+	}
+	if buf, _ := json.Marshal(st.Spans()[0]); bytes.Contains(buf, []byte(`"hart"`)) {
+		t.Fatalf("hart-0 span JSON carries a hart field: %s", buf)
+	}
+	// A relocator hart's span splits the outcomes by hart.
+	hs := committedSpan(0x30, 0x40, 1, 1, 1)
+	hs.Hart = 2
+	st.Record(hs)
+	out = st.Report().String()
+	for _, want := range []string{"2 committed", "hart 0    1 committed  0 aborted  1 torn", "hart 1    0 committed", "hart 2    1 committed"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+	if buf, _ := json.Marshal(hs); !bytes.Contains(buf, []byte(`"hart":2`)) {
+		t.Fatalf("hart-2 span JSON lacks its hart: %s", buf)
+	}
 }
 
 func TestSpanTableRegisterMetrics(t *testing.T) {

@@ -30,18 +30,78 @@ import (
 // (fault.Scavenge / Injector.Repair).
 var ErrTorn = errors.New("opt: torn relocation detected")
 
-// relocationBarrier is the optional interface a machine wrapper
-// implements when relocations may be in flight concurrently with the
-// caller (the multi-hart scheduler in internal/sched). TryRelocate
-// invokes it before touching any shared relocation state — before even
-// reading the machine's fault injector — so the wrapper can drain
-// conflicting in-flight work: another relocation of the same source
-// block (concurrent chain-append is illegal) or any faulted relocation
-// (the journal and armed injector must be exclusively owned).
-// TryRelocate finds it with app.As, however deep in the wrapper chain
-// (under the tier daemon, the chaos relocator) the wrapper sits.
-type relocationBarrier interface {
+// Barrier is the relocation barrier a machine wrapper offers when
+// relocations may be in flight concurrently with the caller (the
+// multi-hart scheduler in internal/sched). TryRelocate calls it before
+// touching any shared relocation state, so the wrapper can drain
+// another in-flight relocation of the same source block: concurrent
+// chain-append is illegal.
+type Barrier interface {
 	RelocationBarrier(src mem.Addr)
+}
+
+// spanRecorder is the machine surface span recording needs: both
+// sim.Machine (cycle-accurate stamps) and oracle.Machine (Now constantly
+// 0, zero-width phases) satisfy it. Wrappers do not; app.As finds the
+// leaf machine beneath them.
+type spanRecorder interface {
+	RelocationSpans() *obs.SpanTable
+	Now() int64
+}
+
+// Context is what one relocation runs with, besides the machine whose
+// words it moves. Each mover builds its context once and runs every
+// move through it: the guest path through MachineContext, the chaos
+// adversary, the relocator harts and the tiering daemon through their
+// own. The zero Context moves the words and nothing else.
+type Context struct {
+	// Faults journals the move, visits its step points and turns on
+	// the read-back verification phases; nil runs none of that.
+	Faults *fault.Injector
+
+	// Private marks Faults as the mover's own, installed on no machine:
+	// no memory hook sees the move's writes, so TryRelocate applies
+	// Faults' write faults to its own copy and plant writes. An
+	// installed injector (MachineContext's) is applied by the memory
+	// hook, which must not filter a write twice.
+	Private bool
+
+	// Spans records one span per attempt, stamped by Clock (the
+	// machine's cycle count); a nil Spans records nothing. Hart labels
+	// the spans: 0 is the guest's hart.
+	Spans *obs.SpanTable
+	Clock interface{ Now() int64 }
+	Hart  int
+
+	// Barrier, when set, runs before the move touches anything.
+	Barrier Barrier
+}
+
+// NewContext returns the context an agent outside the program moves
+// m's blocks with: the relocation barrier and the span table of the
+// first machines in m's wrapper chain that offer them, and no fault
+// injector.
+func NewContext(m app.Machine) Context {
+	var c Context
+	if b, ok := app.As[Barrier](m); ok {
+		c.Barrier = b
+	}
+	if sr, ok := app.As[spanRecorder](m); ok {
+		if st := sr.RelocationSpans(); st != nil {
+			c.Spans, c.Clock = st, sr
+		}
+	}
+	return c
+}
+
+// MachineContext is NewContext plus the machine-global fault injector
+// installed on m, if any: the context of relocations that run as part
+// of m's own execution — the guest's layout passes and the tiering
+// daemon's migrations.
+func MachineContext(m app.Machine) Context {
+	c := NewContext(m)
+	c.Faults = m.FaultInjector()
+	return c
 }
 
 // Relocate moves nWords words of data from src to tgt and installs tgt
@@ -53,6 +113,12 @@ func Relocate(m app.Machine, src, tgt mem.Addr, nWords int) {
 	if err := TryRelocate(m, src, tgt, nWords); err != nil {
 		panic(fmt.Sprintf("opt: Relocate(%#x -> %#x, %d words): %v", src, tgt, nWords, err))
 	}
+}
+
+// TryRelocate is Context.TryRelocate in the machine's context: the
+// entry point of the guest's own relocations.
+func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
+	return MachineContext(m).TryRelocate(m, src, tgt, nWords)
 }
 
 // TryRelocate moves nWords words of data from src to tgt and installs
@@ -82,38 +148,36 @@ func Relocate(m app.Machine, src, tgt mem.Addr, nWords int) {
 // still capped by ChainCap. The old implementation span forever on a
 // cyclic chain.
 //
-// When the machine carries a fault.Injector, TryRelocate additionally
-// journals its intent through it (so fault.Scavenge can roll a torn
-// relocation forward), announces the boundary fault points, and runs
-// read-back verification after the copy phase and after each plant —
-// the detection half of the fault model. Without an injector the
-// instruction sequence is exactly the two phases above.
+// Everything else comes from c, never from the machine's slots or its
+// wrapper chain. With c.Faults set, TryRelocate journals its intent
+// through it (so fault.Scavenge can roll a torn relocation forward),
+// announces the boundary fault points, and runs read-back verification
+// after the copy phase and after each plant — the detection half of
+// the fault model. With c.Faults nil the instruction sequence is
+// exactly the two phases above.
 //
 // Under concurrent execution (internal/sched) two extra rules apply,
 // both free at harts=1:
 //
-//   - the RelocationBarrier hook of the first machine in the wrapper
-//     chain that has one runs first, before the injector is read: the
-//     scheduler drains any in-flight relocation of the same block
-//     (chains must not be appended to concurrently) and any in-flight
-//     *faulted* relocation (the journal and the armed injector are
-//     exclusive state);
+//   - c.Barrier runs first: the scheduler drains any in-flight
+//     relocation of the same block (chains must not be appended to
+//     concurrently);
 //   - each plant refreshes its copy against the chain end's current
 //     value just before the forwarding word is written, making the
 //     read-copy-plant step atomic with respect to mutator stores (a
 //     guest store between the copy phase and the plant would otherwise
 //     commit a stale copy).
-func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
-	if b, ok := app.As[relocationBarrier](m); ok {
-		b.RelocationBarrier(src)
+func (c Context) TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
+	if c.Barrier != nil {
+		c.Barrier.RelocationBarrier(src)
 	}
-	inj := m.FaultInjector()
+	inj := c.Faults
 	var j *fault.Journal
 	if inj != nil {
 		j = &inj.Journal
 	}
 	fwd := m.Forwarder()
-	rec := beginSpan(m, fwd, inj, src, tgt, nWords)
+	rec := beginSpan(&c, fwd, src, tgt, nWords)
 
 	j.Begin(src, tgt, nWords)
 	inj.Step(fault.RelocateBegin)
@@ -152,7 +216,7 @@ func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
 			s = mem.WordAlign(mem.Addr(v))
 			v, fbit = m.UnforwardedRead(s)
 		}
-		m.UnforwardedWrite(d, v, false)
+		c.write(m, d, v, false)
 		ends = append(ends, s)
 		j.RecordCopy(s)
 		inj.Step(fault.RelocateCopied)
@@ -201,7 +265,7 @@ func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
 		if dv, _ := fwd.UnforwardedRead(d); dv != cur {
 			fwd.UnforwardedWrite(d, cur, false)
 		}
-		m.UnforwardedWrite(e, uint64(d), true)
+		c.write(m, e, uint64(d), true)
 		if inj != nil {
 			// Plant verification: corruption after this point is no
 			// longer caught by the copy check, so read the plant back.
@@ -223,6 +287,16 @@ func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
 	m.TraceRelocate(src, tgt, nWords)
 	rec.finish(fwd, src, obs.RelocCommitted, nil)
 	return nil
+}
+
+// write is one of the move's own copy or plant writes, through a
+// private injector's write faults: a crash fires before the write
+// lands, a corruption alters it.
+func (c *Context) write(m app.Machine, a mem.Addr, v uint64, fbit bool) {
+	if c.Private {
+		v, fbit = c.Faults.FilterWrite(a, v, fbit)
+	}
+	m.UnforwardedWrite(a, v, fbit)
 }
 
 // Pool hands out relocation targets from contiguous memory. When one

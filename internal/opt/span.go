@@ -1,28 +1,17 @@
-// Relocation-span instrumentation for TryRelocate: when the machine
-// carries an obs.SpanTable, every relocation attempt is recorded as a
-// structured span over the two-phase commit with per-phase cycle costs,
-// chain length before/after, outcome, and any fault-injector shots that
-// fired inside the span. With no table attached the cost is one
-// app.As walk down the wrapper chain per relocation and zero
-// allocations.
+// Relocation-span instrumentation for TryRelocate: when the
+// relocation's Context carries an obs.SpanTable, every attempt is
+// recorded as a structured span over the two-phase commit with
+// per-phase cycle costs, chain length before/after, outcome, the hart
+// that ran it, and any fault-injector shots that fired inside the
+// span. With no table the cost is one nil check and zero allocations.
 package opt
 
 import (
-	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
 )
-
-// spanRecorder is the optional machine surface span recording needs:
-// both sim.Machine (cycle-accurate stamps) and oracle.Machine (Now
-// constantly 0, zero-width phases) satisfy it. Wrappers do not; app.As
-// finds the leaf machine beneath them.
-type spanRecorder interface {
-	RelocationSpans() *obs.SpanTable
-	Now() int64
-}
 
 // relocSpan accumulates one in-flight TryRelocate span. A nil receiver
 // is a record-nothing no-op, so the instrumentation sites in
@@ -37,29 +26,25 @@ type relocSpan struct {
 	tCopy, tVerify, tPlant int64 // completion stamps; -1 = not reached
 }
 
-// beginSpan opens a span if (and only if) the machine's wrapper chain
-// exposes a span table. The chain-length probe uses hook-free direct
-// reads, so it perturbs neither timing nor fault-injector visit counts.
-func beginSpan(m app.Machine, fwd *core.Forwarder, inj *fault.Injector, src, tgt mem.Addr, nWords int) *relocSpan {
-	sr, ok := app.As[spanRecorder](m)
-	if !ok {
+// beginSpan opens a span if (and only if) c carries a span table. The
+// chain-length probe uses hook-free direct reads, so it perturbs
+// neither timing nor fault-injector visit counts.
+func beginSpan(c *Context, fwd *core.Forwarder, src, tgt mem.Addr, nWords int) *relocSpan {
+	if c.Spans == nil {
 		return nil
 	}
-	st := sr.RelocationSpans()
-	if st == nil {
-		return nil
-	}
-	r := &relocSpan{st: st, now: sr.Now, inj: inj, tCopy: -1, tVerify: -1, tPlant: -1}
-	if inj != nil {
-		r.base = len(inj.Shots)
+	r := &relocSpan{st: c.Spans, now: c.Clock.Now, inj: c.Faults, tCopy: -1, tVerify: -1, tPlant: -1}
+	if c.Faults != nil {
+		r.base = len(c.Faults.Shots)
 	}
 	r.span = obs.RelocationSpan{
 		Src:         uint64(src),
 		Tgt:         uint64(tgt),
 		Words:       nWords,
+		Hart:        c.Hart,
 		ChainBefore: chainLen(fwd, src),
 		ChainAfter:  -1,
-		Begin:       sr.Now(),
+		Begin:       c.Clock.Now(),
 	}
 	return r
 }

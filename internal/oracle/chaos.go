@@ -9,6 +9,7 @@ import (
 	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
+	"memfwd/internal/opt"
 )
 
 // Relocator is a seeded adversary implementing app.Machine: it wraps an
@@ -60,6 +61,7 @@ type Relocator struct {
 
 	guestTrap core.TrapHandler
 	inChaos   bool
+	ctx       opt.Context // the inner machine's barrier and span table
 
 	// Fault-injection repertoire (EnableFaults).
 	faults     bool
@@ -93,6 +95,7 @@ func NewRelocator(inner app.Machine, seed int64, interval int) *Relocator {
 	}
 	r.Interceptor = app.NewInterceptor(inner, r)
 	r.clock = agent.NewClock(interval, r.rng)
+	r.ctx = opt.NewContext(inner)
 	return r
 }
 
@@ -150,8 +153,12 @@ func (r *Relocator) tick() {
 // instruction boundary, a bit flip on a copy or plant write, or a
 // spurious fbit transition — and, once agent.Relocate has rolled the
 // torn move forward, checks every copy against the block's pre-move
-// values with the machine's timed reads. The guest observes none of
-// it; the surrounding differential episode proves that end to end.
+// values with the machine's timed reads. The injector travels in the
+// move's own context, never in the machine's slot: a chaos move takes
+// no scheduling point, so its writes are exactly TryRelocate's copy and
+// plant writes, which TryRelocate filters through it. The guest
+// observes none of it; the surrounding differential episode proves
+// that end to end.
 func (r *Relocator) relocate(faulted bool) {
 	al := r.Machine.Allocator()
 	base := r.victims.Pick(r.rng, al)
@@ -169,25 +176,25 @@ func (r *Relocator) relocate(faulted bool) {
 	words := int(size / mem.WordSize)
 	var (
 		want []uint64
-		inj  *fault.Injector
 		plan fault.Shot // the armed fault, for failure reports
 	)
+	ctx := r.ctx
 	if faulted {
 		want = r.values(base, words)
-		inj = fault.New(r.rng.Int63())
+		ctx.Faults, ctx.Private = fault.New(r.rng.Int63()), true
 		plan.Kind = r.faultKinds[r.rng.Intn(len(r.faultKinds))]
 		plan.Point, plan.Visit = r.armPoint(plan.Kind, words)
-		inj.Arm(plan.Kind, plan.Point, plan.Visit)
+		ctx.Faults.Arm(plan.Kind, plan.Point, plan.Visit)
 	} else if r.Machine.Memory().FBit(base) {
 		// Untimed peek: a first word that already forwards means this
 		// relocation lengthens an existing chain.
 		r.Lengthenings++
 	}
-	repaired, err := agent.Relocate(r.Machine, base, tgt, words, inj)
+	repaired, err := agent.Relocate(r.Machine, ctx, base, tgt, words)
 	if err != nil {
 		panic(fmt.Sprintf("oracle: chaos relocation of %#x (%d words): %v", base, words, err))
 	}
-	if inj.Fired() {
+	if ctx.Faults.Fired() {
 		r.FaultsInjected++
 	}
 	if repaired {

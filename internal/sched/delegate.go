@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"memfwd/internal/fault"
 	"memfwd/internal/mem"
 )
 
@@ -72,19 +71,4 @@ func (g *Group) Free(a mem.Addr) {
 		}
 	}
 	g.Machine.Free(a)
-}
-
-// SetFaultInjector installs an injector from outside the group (the
-// chaos adversary's faulted episodes, crash-consistency harnesses).
-// The injector's write hook sees and visit-counts every write reaching
-// the tagged memory — including a half-done job's copy and plant
-// writes, which would silently consume the caller's armed visits (or
-// fire its crash inside the group's own job). So a non-nil install
-// first drives every in-flight job to completion; launches stay
-// suppressed while a foreign injector is installed.
-func (g *Group) SetFaultInjector(in *fault.Injector) {
-	if in != nil {
-		g.Quiesce()
-	}
-	g.Machine.SetFaultInjector(in)
 }

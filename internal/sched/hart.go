@@ -15,9 +15,9 @@ var errQuit = errors.New("sched: hart quit")
 
 // job is one relocation assigned to a service hart: the production
 // two-phase commit of jb.src into jb.tgt, optionally with a private
-// fault injector armed (faulted jobs own the machine's injector slot
-// and journal for their whole interleaved duration — the
-// RelocationBarrier drains them before any other journaling starts).
+// fault injector armed. The injector, and the journal it carries, go
+// into the job's relocation context only; the machine's injector slot
+// never sees them.
 type job struct {
 	src, tgt mem.Addr
 	words    int
@@ -119,12 +119,10 @@ func (h *hart) step() {
 // store can never slip between them.
 //
 // The embedded interface is the group's *inner* machine, so a job's
-// word accesses take no scheduling points. hartMachine is deliberately
-// opaque: it embeds app.Machine rather than app.Interceptor, so it has
-// no Unwrap and app.As cannot see past it. TryRelocate therefore finds
-// no relocation barrier (the group's own would re-enter it mid-job and
-// drain the very job calling it) and no span table (hart jobs are
-// counted in the group's Stats, not recorded as spans).
+// word accesses take no scheduling points. What else the job runs with
+// — its injector, the span table and its hart label, no barrier —
+// comes from the job's relocation context, not from the machine, so
+// nothing needs to look past this view.
 type hartMachine struct {
 	app.Machine
 	h *hart

@@ -36,6 +36,7 @@ import (
 	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
+	"memfwd/internal/opt"
 )
 
 // Config parameterizes a Group.
@@ -96,6 +97,7 @@ type Group struct {
 
 	victims agent.Victims
 	arena   agent.Arena // slot 1, above the chaos adversary's slot 0
+	ctx     opt.Context // the relocation context of hart jobs
 
 	faults    bool
 	forced    *fault.Shot // InjectNext's pending plan
@@ -131,6 +133,10 @@ func New(inner app.Machine, cfg Config) (*Group, error) {
 		g.hs = hs
 	}
 	g.clock = agent.NewClock(cfg.Interval, &g.rng)
+	// Hart jobs record spans in the inner machine's table. They take no
+	// barrier: the group drains its jobs, never the reverse.
+	g.ctx = opt.NewContext(inner)
+	g.ctx.Barrier = nil
 	for i := 1; i < cfg.Harts; i++ {
 		g.harts = append(g.harts, newHart(g, i))
 	}
@@ -148,12 +154,11 @@ func (g *Group) Stats() Stats { return g.stats }
 // (atomic) chaos Relocator.
 func (g *Group) EnableFaults() { g.faults = true }
 
-// InjectNext arms the next *solo* launch — a faulted job is exclusive
-// with other jobs (see launch), so the plan waits until a job launches
-// with no other job in flight — with exactly this fault plan (test
-// hook for the exhaustive crash-point enumeration). kind should be
-// fault.Crash; visit counts above the job's word count simply never
-// fire.
+// InjectNext arms the next launch with exactly this fault plan (test
+// hook for the exhaustive crash-point enumeration), whatever other jobs
+// are in flight beside it: every job carries its own injector and
+// journal. kind should be fault.Crash; visit counts above the job's
+// word count simply never fire.
 func (g *Group) InjectNext(kind fault.Kind, p fault.Point, visit int) {
 	g.forced = &fault.Shot{Kind: kind, Point: p, Visit: visit}
 }
@@ -218,39 +223,26 @@ func (g *Group) pickBusy() *hart {
 }
 
 // launch assigns a relocation job to an idle hart, if a hart and an
-// eligible block are available. No launch happens while a foreign
-// injector is installed on the machine: job writes would pollute its
-// visit counting and journal (see SetFaultInjector).
+// eligible block are available. Jobs carry their own injector and
+// journal in their relocation context, so they launch beside any
+// other job, faulted or clean.
 //
-// A faulted job is additionally exclusive with every other group job,
-// in both directions. The machine has one injector slot and one
-// journal, and a job binds to them by reading FaultInjector() at its
-// *first step* — not at launch — so any overlap cross-wires them: a
-// clean job that starts while a faulted job's injector is installed
-// would journal into the faulted job's journal (and the scavenger
-// would then replay the wrong relocation), and a faulted job that
-// installs its injector while a clean job is waiting for its first
-// step poisons that job the same way. Hence: nothing launches while a
-// faulted job is in flight, and a fault arms only when no other job
-// is in flight. Faulted jobs still race the guest's loads and stores
-// — exclusivity is only between relocator harts.
+// Nothing launches while a machine-global injector is installed (RunOne
+// and memfwd-sim -fault install one before the run). Its memory hook
+// sees every write that reaches the tagged memory and its resolve hook
+// every chain walk, so it would visit-count a job's writes and could
+// crash or corrupt them where no journal of the job covers them. The
+// machine's slot holds nothing else: no agent installs its injector
+// there.
 func (g *Group) launch() {
 	if g.Machine.FaultInjector() != nil {
 		return
 	}
 	var idle *hart
-	nIdle, inFlight := 0, 0
+	nIdle := 0
 	for _, h := range g.harts {
-		if h.dead {
-			continue
-		}
-		if h.job == nil {
+		if h.job == nil && !h.dead {
 			nIdle++
-		} else {
-			inFlight++
-			if h.job.inj != nil {
-				return
-			}
 		}
 	}
 	if nIdle == 0 {
@@ -282,9 +274,6 @@ func (g *Group) launch() {
 	words := int(size / mem.WordSize)
 	jb := &job{src: base, tgt: tgt, words: words}
 	switch {
-	case inFlight > 0:
-		// Not alone: launch clean (see the exclusivity rule above). A
-		// forced injection stays armed for the next solo launch.
 	case g.forced != nil:
 		jb.plan, g.forced = *g.forced, nil
 		jb.inj = fault.New(int64(g.rng.next()>>1)).Arm(jb.plan.Kind, jb.plan.Point, jb.plan.Visit)
@@ -309,16 +298,17 @@ func (g *Group) busyOn(base mem.Addr) bool {
 }
 
 // runJob executes one job inside a hart coroutine: agent.Relocate
-// through the yield-instrumented machine view, interleaved with the
+// through the yield-instrumented machine view, in a context labelled
+// with the hart and holding the job's injector, interleaved with the
 // guest (only the code between two yields is atomic), then a
-// structural post-check. A faulted job owns the machine's injector
-// slot and journal for its whole duration; the RelocationBarrier
-// drains it before anyone else journals. The roll-forward runs on raw
+// structural post-check. The roll-forward of a crashed job runs on raw
 // memory without yields — the stop-the-world recovery pass of
 // DESIGN.md §8.
 func (g *Group) runJob(h *hart) {
 	jb := h.job
-	repaired, err := agent.Relocate(&hartMachine{Machine: g.Machine, h: h}, jb.src, jb.tgt, jb.words, jb.inj)
+	ctx := g.ctx
+	ctx.Hart, ctx.Faults, ctx.Private = h.id, jb.inj, jb.inj != nil
+	repaired, err := agent.Relocate(&hartMachine{Machine: g.Machine, h: h}, ctx, jb.src, jb.tgt, jb.words)
 	if err != nil {
 		panic(fmt.Sprintf("sched: relocation of %#x (%d words): %v", jb.src, jb.words, err))
 	}
@@ -341,12 +331,11 @@ func (g *Group) runJob(h *hart) {
 // RelocationBarrier is opt.TryRelocate's pre-flight hook: before any
 // relocation by anyone *outside* the group's own harts (a layout pass
 // run by the guest, the tiering daemon, the chaos adversary) touches
-// shared relocation state, conflicting in-flight jobs are driven to
-// completion. Two conflicts exist: a job on the same source block
-// (concurrent chain-append would let a plant land at a stale chain end
-// and the scavenger treat a foreign plant as corruption), and — when
-// any injector is in play — any faulted job (journals and the
-// machine's injector slot are exclusive).
+// the heap, an in-flight job on the same object is driven to
+// completion — concurrent chain-append would let a plant land at a
+// stale chain end and the scavenger treat a foreign plant as
+// corruption. Jobs on other objects stay in flight: journals and
+// injectors are per relocation, so nothing else is shared.
 func (g *Group) RelocationBarrier(src mem.Addr) {
 	if len(g.harts) == 0 || g.inService {
 		return
@@ -354,10 +343,7 @@ func (g *Group) RelocationBarrier(src mem.Addr) {
 	g.inService = true
 	defer func() { g.inService = false }()
 	for _, h := range g.harts {
-		if h.job == nil || h.dead {
-			continue
-		}
-		if g.sameObject(h.job.src, src) || h.job.inj != nil || g.Machine.FaultInjector() != nil {
+		if h.job != nil && !h.dead && g.sameObject(h.job.src, src) {
 			g.drain(h)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"memfwd/internal/apps/app"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
+	"memfwd/internal/obs"
 	"memfwd/internal/oracle"
 	"memfwd/internal/sched"
 	"memfwd/internal/sim"
@@ -105,6 +106,53 @@ func (w *workload) run(m app.Machine, n int) {
 			w.sum = w.sum*31 + got
 		}
 	}
+}
+
+// overlapWatch samples the group's in-flight jobs after every guest
+// data operation and counts the points at which a faulted job was in
+// flight beside another job, and beside another faulted job.
+type overlapWatch struct {
+	app.Interceptor
+	g                   *sched.Group
+	beside, bothFaulted int
+}
+
+func watchOverlap(g *sched.Group) *overlapWatch {
+	w := &overlapWatch{g: g}
+	w.Interceptor = app.NewInterceptor(g, w)
+	return w
+}
+
+func (w *overlapWatch) sample() {
+	jobs, faulted := w.g.InFlight()
+	if faulted > 0 && jobs > 1 {
+		w.beside++
+	}
+	if faulted > 1 {
+		w.bothFaulted++
+	}
+}
+
+func (w *overlapWatch) Load(a mem.Addr, size uint) uint64 {
+	v := w.Machine.Load(a, size)
+	w.sample()
+	return v
+}
+
+func (w *overlapWatch) Store(a mem.Addr, v uint64, size uint) {
+	w.Machine.Store(a, v, size)
+	w.sample()
+}
+
+func (w *overlapWatch) Malloc(n uint64) mem.Addr {
+	a := w.Machine.Malloc(n)
+	w.sample()
+	return a
+}
+
+func (w *overlapWatch) Free(a mem.Addr) {
+	w.Machine.Free(a)
+	w.sample()
 }
 
 func digestOf(t *testing.T, m app.Machine) uint64 {
@@ -281,6 +329,8 @@ func TestDifferentialUnderSchedule(t *testing.T) {
 		return w.sum, digestOf(t, g), g.Stats()
 	}
 	sm := sim.New(sim.Config{Harts: 3})
+	spans := obs.NewSpanTable(1 << 16)
+	sm.SetSpans(spans)
 	simSum, simDig, simSt := run(sm)
 	sm.Finalize()
 	om := oracle.New(oracle.Config{})
@@ -298,6 +348,18 @@ func TestDifferentialUnderSchedule(t *testing.T) {
 	if simSt.Relocations == 0 {
 		t.Error("no concurrent relocations committed; test is vacuous")
 	}
+	// Every hart job lands in the machine's span table, labelled by the
+	// hart that ran it (the guest relocates nothing here).
+	if committed, _, _ := spans.Outcomes(); committed != uint64(simSt.Relocations) {
+		t.Errorf("%d committed spans, want one per hart job (%d)", committed, simSt.Relocations)
+	}
+	byHart := map[int]int{}
+	for _, sp := range spans.Spans() {
+		byHart[sp.Hart]++
+	}
+	if len(byHart) != 2 || byHart[1] == 0 || byHart[2] == 0 {
+		t.Errorf("spans by hart %v, want harts 1 and 2 only", byHart)
+	}
 	if err := oracle.CheckMachine(sm); err != nil {
 		t.Errorf("sim invariants: %v", err)
 	}
@@ -310,7 +372,8 @@ func TestDifferentialUnderSchedule(t *testing.T) {
 // boundary point of a *contended* relocation — one racing guest loads
 // and stores — and demands the scavenger roll the heap forward to a
 // state digest-identical to the serial no-relocation execution. "No
-// third state" under concurrency.
+// third state" under concurrency. The armed job launches whatever else
+// is in flight, so at harts=4 crashes also strike beside other jobs.
 func TestCrashConsistencyUnderContention(t *testing.T) {
 	const seed, ops = 99, 4000
 	wantSum, wantDig := baseline(t, seed, ops)
@@ -319,7 +382,7 @@ func TestCrashConsistencyUnderContention(t *testing.T) {
 		fault.RelocatePlant, fault.RelocateEnd,
 	}
 	for _, harts := range []int{2, 4} {
-		crashes, scavenges := 0, 0
+		crashes, scavenges, beside := 0, 0, 0
 		for _, p := range points {
 			for visit := 1; visit <= 3; visit++ {
 				om := oracle.New(oracle.Config{})
@@ -329,7 +392,9 @@ func TestCrashConsistencyUnderContention(t *testing.T) {
 				}
 				g.InjectNext(fault.Crash, p, visit)
 				w := newWorkload(t, seed)
-				w.run(g, ops)
+				ow := watchOverlap(g)
+				w.run(ow, ops)
+				beside += ow.beside
 				g.Quiesce()
 				st := g.Stats()
 				if w.sum != wantSum {
@@ -357,17 +422,22 @@ func TestCrashConsistencyUnderContention(t *testing.T) {
 			t.Errorf("harts=%d: %d crashes, %d scavenges across the enumeration; test is vacuous",
 				harts, crashes, scavenges)
 		}
+		t.Logf("harts=%d: %d crashes, %d scavenges, %d points with an armed job beside another", harts, crashes, scavenges, beside)
+		if harts > 2 && beside == 0 {
+			t.Errorf("harts=%d: no armed job was ever in flight beside another job", harts)
+		}
 	}
 }
 
 // TestRandomFaultedSchedule drives the repertoire the chaos harness
 // uses (EnableFaults: roughly a quarter of jobs crash at seeded
 // boundary points) across several seeds, as a broader sweep behind the
-// exhaustive enumeration above.
+// exhaustive enumeration above. Faulted jobs overlap each other: each
+// carries its own injector and journal.
 func TestRandomFaultedSchedule(t *testing.T) {
 	const seed, ops = 55, 6000
 	wantSum, wantDig := baseline(t, seed, ops)
-	var crashes int
+	var crashes, bothFaulted int
 	for schedSeed := int64(1); schedSeed <= 6; schedSeed++ {
 		om := oracle.New(oracle.Config{})
 		g, err := sched.New(om, sched.Config{Harts: 4, Seed: schedSeed, Interval: 8})
@@ -376,7 +446,9 @@ func TestRandomFaultedSchedule(t *testing.T) {
 		}
 		g.EnableFaults()
 		w := newWorkload(t, seed)
-		w.run(g, ops)
+		ow := watchOverlap(g)
+		w.run(ow, ops)
+		bothFaulted += ow.bothFaulted
 		g.Quiesce()
 		if w.sum != wantSum {
 			t.Errorf("seed=%d: checksum %#x, want %#x", schedSeed, w.sum, wantSum)
@@ -392,6 +464,10 @@ func TestRandomFaultedSchedule(t *testing.T) {
 	}
 	if crashes == 0 {
 		t.Error("no crashes fired across six faulted seeds; test is vacuous")
+	}
+	t.Logf("%d crashes, %d points with two faulted jobs in flight", crashes, bothFaulted)
+	if bothFaulted == 0 {
+		t.Error("no two faulted jobs were ever in flight together across six seeds")
 	}
 }
 

@@ -96,7 +96,7 @@ func (sv *Server) sessionMetaFor(s *Session, walSeq uint64) (*sessionMeta, error
 		mode:     s.Mode,
 		shard:    int(s.shard.Load()),
 		req:      s.reqJSON,
-		rawOps:   s.rawOps,
+		rawOps:   s.rawOps.Load(),
 		arenaOff: s.arenaOff,
 		walSeq:   walSeq,
 	}

@@ -110,11 +110,11 @@ func (sv *Server) sessionMetrics(emit func(string, float64)) {
 		e, d, _ := s.hub.Stats()
 		events += e
 		drops += d
-		// A raw session's op count and the tier gauges (which need the
-		// machine quiesced) are read under the session mutex, like any
-		// other control-plane read; closed sessions have no tier state.
-		s.mu.Lock()
+		// The tier gauges need the machine quiesced, so they are read
+		// under the session mutex, like any other control-plane read;
+		// closed sessions have no tier state.
 		ops += s.ops()
+		s.mu.Lock()
 		if s.td != nil && !s.closed {
 			tierSessions++
 			for i, v := range s.tierSnapshot().sums() {

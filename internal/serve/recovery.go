@@ -237,7 +237,7 @@ func (sv *Server) recoverRawSession(meta *sessionMeta, recs []*walRecord, rep *R
 	m.SetTracer(s.tr)
 	s.m = m
 	s.reqJSON = meta.req
-	s.rawOps = meta.rawOps
+	s.rawOps.Store(meta.rawOps)
 	s.arenaOff = meta.arenaOff
 	s.arenaNext = shardArenaBase(meta.shard) + meta.arenaOff
 	if err := sv.replayRaw(s, recs, rep); err != nil {

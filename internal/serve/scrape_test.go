@@ -128,3 +128,66 @@ func TestConcurrentScrapesRaceClean(t *testing.T) {
 		t.Fatalf("serve.sessions.active = %v after deleting every session", n)
 	}
 }
+
+// TestSessionInfoRaceClean: the session-info replies — GET /sessions
+// and the /snapshot and /migrate responses — read a raw session's op
+// count while op batches on the same session advance it. Run under
+// -race: every read must be ordered with the batches' increments.
+func TestSessionInfoRaceClean(t *testing.T) {
+	sv := startServer(t, Config{Shards: 2})
+	var raw sessionInfo
+	call(t, sv, "POST", "/sessions", createRequest{Mode: "raw"}, &raw)
+	path := "/sessions/" + raw.ID
+
+	const rounds = 40
+	var work sync.WaitGroup
+	work.Add(2)
+	go func() {
+		defer work.Done()
+		for round := 0; round < rounds; round++ {
+			var blk opResult
+			if err := callErr(sv, "POST", path+"/op", opRequest{Op: "malloc", Size: 64}, &blk); err != nil {
+				t.Error(err)
+				return
+			}
+			batch := opRequest{Ops: []opRequest{
+				{Op: "store", Addr: blk.Addr, Value: uint64(round)},
+				{Op: "load", Addr: blk.Addr},
+				{Op: "free", Addr: blk.Addr},
+			}}
+			if err := callErr(sv, "POST", path+"/op", batch, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer work.Done()
+		for round := 0; round < rounds; round++ {
+			var list struct {
+				Sessions []sessionInfo `json:"sessions"`
+			}
+			if err := callErr(sv, "GET", "/sessions", nil, &list); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := callErr(sv, "POST", path+"/snapshot", map[string]any{}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := callErr(sv, "POST", path+"/migrate", map[string]int{"shard": round % 2}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	work.Wait()
+
+	var list struct {
+		Sessions []sessionInfo `json:"sessions"`
+	}
+	call(t, sv, "GET", "/sessions", nil, &list)
+	if len(list.Sessions) != 1 || list.Sessions[0].Ops != 4*rounds {
+		t.Fatalf("sessions after the run: %+v, want one with %d ops", list.Sessions, 4*rounds)
+	}
+}

@@ -410,7 +410,7 @@ func (sv *Server) restoreSnapshot(snapID string, shardReq *int) (*Session, error
 	}
 	m.SetTracer(s.tr)
 	s.m = m
-	s.rawOps = snap.ops
+	s.rawOps.Store(snap.ops)
 	s.arenaOff = snap.arenaOff
 	s.arenaNext = shardArenaBase(shardID) + snap.arenaOff
 	if err := sv.persistNewSession(s); err != nil {
@@ -538,7 +538,7 @@ func (s *Session) execOp(req opRequest) (res opResult, err error) {
 	}
 	switch req.Op {
 	case "malloc", "free", "load", "store":
-		s.rawOps++
+		s.rawOps.Add(1)
 	}
 	return res, nil
 }

@@ -50,6 +50,10 @@ type Session struct {
 
 	shard atomic.Int32
 
+	// rawOps counts raw-mode guest operations. It advances under mu,
+	// but the session-info replies read it without the lock.
+	rawOps atomic.Uint64
+
 	cfg sim.Config
 	hub *obs.Broadcaster
 	tr  *obs.Tracer
@@ -61,7 +65,6 @@ type Session struct {
 	mu        sync.Mutex
 	m         *sim.Machine // raw mode; app mode reaches it via px
 	closed    bool
-	rawOps    uint64
 	arenaNext mem.Addr // raw-mode relocation cursor within the shard region
 	arenaOff  mem.Addr // cursor offset, preserved across migrations
 
@@ -260,7 +263,7 @@ func (s *Session) ops() uint64 {
 	if s.g != nil {
 		return uint64(s.g.ops())
 	}
-	return s.rawOps
+	return s.rawOps.Load()
 }
 
 // tierView is the /stats and /metrics view of a session's migrator.

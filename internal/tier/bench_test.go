@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"memfwd/internal/mem"
+	"memfwd/internal/opt"
 	"memfwd/internal/sim"
 )
 
@@ -98,9 +99,10 @@ func BenchmarkDaemonMigrate(b *testing.B) {
 		d.StoreWord(objs[i], uint64(i))
 	}
 	slow := d.Tiers().Slowest()
+	ctx := opt.MachineContext(d.Machine)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !d.migrate(objs[i], 256, slow) {
+		if !d.migrate(ctx, objs[i], 256, slow) {
 			b.Fatal("far window exhausted")
 		}
 	}

@@ -39,13 +39,14 @@
 // Every migration goes through agent.Relocate, the production
 // opt.TryRelocate two-phase commit, so online tiering inherits the
 // whole safety story for free: Figure 4(a) chain-append legality,
-// journaling through any installed fault injector, and roll-forward
-// from the journal (fault.Scavenge) — a crash induced mid-migration is
-// recovered and the move completes, exactly as the crash-consistency
-// harness proves for offline relocation. The differential and chaos
-// harnesses run unchanged with the daemon enabled: a migrator that
-// changed what the program computes would be a safety-claim violation,
-// and the tests treat it as one.
+// journaling through the machine-global fault injector, if one is
+// installed, and roll-forward from the journal (fault.Scavenge) — a
+// crash induced mid-migration is recovered and the move completes,
+// exactly as the crash-consistency harness proves for offline
+// relocation. The differential and chaos harnesses run unchanged with
+// the daemon enabled: a migrator that changed what the program
+// computes would be a safety-claim violation, and the tests treat it
+// as one.
 package tier
 
 import (
@@ -58,6 +59,7 @@ import (
 	"memfwd/internal/core"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
+	"memfwd/internal/opt"
 )
 
 // Config parameterizes a Daemon. Tiers is required; everything else
@@ -532,6 +534,11 @@ func (d *Daemon) wake() {
 		d.inWake = false
 	}()
 	d.stats.Wakes++
+	// The daemon runs on the guest's hart as part of the machine's own
+	// execution, so its migrations take the machine's context: the
+	// barrier and span table of the chain below, and the machine-global
+	// injector, read once per wake.
+	ctx := opt.MachineContext(d.Machine)
 
 	al := d.al
 	budget := d.budget()
@@ -647,7 +654,7 @@ func (d *Daemon) wake() {
 			if d.nearLive() <= target || moves >= maxMoves {
 				break
 			}
-			if !d.migrate(v.base, v.size, d.tiers.Slowest()) {
+			if !d.migrate(ctx, v.base, v.size, d.tiers.Slowest()) {
 				break // window exhausted; no point trying further victims
 			}
 			moves++
@@ -669,7 +676,7 @@ func (d *Daemon) wake() {
 			d.stats.SkippedBudget++
 			continue
 		}
-		if !d.migrate(p.base, p.size, 0) {
+		if !d.migrate(ctx, p.base, p.size, 0) {
 			break
 		}
 		moves++
@@ -690,18 +697,18 @@ func (d *Daemon) forget(base mem.Addr, b block) {
 }
 
 // migrate moves the object at base into tier's window through
-// agent.Relocate: with a fault injector installed on the machine, an
-// induced crash is recovered and the torn move rolled forward from its
-// journal — the crash-consistency guarantee applied to online
-// migration. Returns false when the window is exhausted (the caller's
-// signal to stop for this wake).
-func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
+// agent.Relocate in the wake's context ctx: with a fault injector
+// installed on the machine, an induced crash is recovered and the torn
+// move rolled forward from its journal — the crash-consistency
+// guarantee applied to online migration. Returns false when the window
+// is exhausted (the caller's signal to stop for this wake).
+func (d *Daemon) migrate(ctx opt.Context, base mem.Addr, size uint64, tier int) bool {
 	tgt := d.tiers.Take(tier, size)
 	if tgt == 0 {
 		d.stats.SkippedArena++
 		return false
 	}
-	repaired, err := agent.Relocate(d.Machine, base, tgt, int(size/mem.WordSize), nil)
+	repaired, err := agent.Relocate(d.Machine, ctx, base, tgt, int(size/mem.WordSize))
 	if err != nil {
 		// A refused relocation is clean: phase-1 copies are invisible
 		// until planted, so the heap is untouched; only window bytes
