@@ -412,6 +412,10 @@ func main() {
 			gs := grp.Stats()
 			run.Sched = &gs
 		}
+		if daemon != nil {
+			ds := daemon.Stats()
+			run.Tier = &ds
+		}
 		if err := memfwd.WriteJSON(os.Stdout, run); err != nil {
 			fmt.Fprintln(os.Stderr, "memfwd-sim:", err)
 			os.Exit(1)

@@ -59,9 +59,9 @@ type Run struct {
 	// are unchanged.
 	Samples []Sample `json:",omitempty"`
 
-	// Tier is the migrator daemon's accounting, present only on the
-	// tiered variants of RunTiering; omitted from JSON otherwise, so
-	// existing encodings are unchanged.
+	// Tier is the migrator daemon's accounting, present only on tiered
+	// runs (RunTiering's tiered variants, memfwd-sim -tiers); omitted
+	// from JSON otherwise, so existing encodings are unchanged.
 	Tier *TierStats `json:",omitempty"`
 
 	// Sched is the scheduling group's accounting, present only when the

@@ -2,8 +2,8 @@ package mem
 
 import "testing"
 
-// The page cache makes same-page access the common fast path; these
-// benchmarks watch it and the cross-page (victim/map) path separately.
+// The page front makes same-page access the common fast path; these
+// benchmarks watch it and the cross-page (victim/probe) path separately.
 
 var benchSink uint64
 

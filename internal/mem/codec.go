@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/wire"
 )
 
@@ -22,24 +23,19 @@ const pageEncBytes = 8 + PageWords*8 + PageWords/8
 
 // EncodeWire appends the snapshot's canonical encoding to w.
 func (s *MemorySnapshot) EncodeWire(w *wire.Writer) {
-	pns := make([]Addr, 0, len(s.pages))
-	for pn := range s.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	w.Grow(4 + len(pns)*pageEncBytes + 8)
-	w.U32(uint32(len(pns)))
-	for _, pn := range pns {
-		p := s.pages[pn]
-		w.U64(uint64(pn))
-		for _, word := range p.words {
+	refs := sortedPages(&s.pages)
+	w.Grow(4 + len(refs)*pageEncBytes + 8)
+	w.U32(uint32(len(refs)))
+	for _, ref := range refs {
+		w.U64(uint64(ref.pn))
+		for _, word := range ref.p.words {
 			w.U64(word)
 		}
-		for _, fb := range p.fbits {
+		for _, fb := range ref.p.fbits {
 			w.U8(fb)
 		}
 	}
-	w.Int(s.pagesTouched)
+	w.Int(len(refs)) // pages touched
 }
 
 // DecodeMemorySnapshot reads a snapshot encoded by EncodeWire. Errors
@@ -47,7 +43,7 @@ func (s *MemorySnapshot) EncodeWire(w *wire.Writer) {
 // error.
 func DecodeMemorySnapshot(r *wire.Reader) *MemorySnapshot {
 	n := r.Count(pageEncBytes)
-	s := &MemorySnapshot{pages: make(map[Addr]*page, n)}
+	s := &MemorySnapshot{pages: addrtab.NewPages[page](n)}
 	prev := Addr(0)
 	for i := 0; i < n; i++ {
 		pn := Addr(r.U64())
@@ -58,21 +54,23 @@ func DecodeMemorySnapshot(r *wire.Reader) *MemorySnapshot {
 			r.Failf("mem: page numbers out of order (%#x after %#x)", pn, prev)
 			return s
 		}
+		if pn > ^Addr(0)>>PageShift {
+			r.Failf("mem: page number %#x outside the address space", pn)
+			return s
+		}
 		prev = pn
-		p := &page{}
+		p := s.pages.Ensure(uint64(pn))
 		for j := range p.words {
 			p.words[j] = r.U64()
 		}
 		for j := range p.fbits {
 			p.fbits[j] = r.U8()
 		}
-		s.pages[pn] = p
 	}
-	s.pagesTouched = r.Int()
-	// PagesTouched counts materialized pages and pages are never
+	// Pages touched counts materialized pages and pages are never
 	// unmapped, so it must equal the page count exactly.
-	if r.Err() == nil && s.pagesTouched != n {
-		r.Failf("mem: pagesTouched %d != %d pages", s.pagesTouched, n)
+	if touched := r.Int(); r.Err() == nil && touched != n {
+		r.Failf("mem: pagesTouched %d != %d pages", touched, n)
 	}
 	return s
 }

@@ -180,7 +180,7 @@ func TestZeroPartialFinalWord(t *testing.T) {
 	}
 }
 
-// The page cache in front of the page map must never affect visibility:
+// The page front (MRU + victims) must never affect visibility:
 // a miss on an untouched page (which returns zero without materializing)
 // must not be cached as if the page existed, and a later write to that
 // page must be observed by subsequent reads.
@@ -192,8 +192,8 @@ func TestPageCacheMaterializationVisibility(t *testing.T) {
 	if v := m.ReadWord(pageB); v != 0 {
 		t.Fatalf("untouched page read %d", v)
 	}
-	if m.PagesTouched != 1 {
-		t.Fatalf("read materialized a page: %d", m.PagesTouched)
+	if m.PagesTouched() != 1 {
+		t.Fatalf("read materialized a page: %d", m.PagesTouched())
 	}
 	m.WriteWord(pageB, 222)
 	if v := m.ReadWord(pageB); v != 222 {
@@ -209,7 +209,7 @@ func TestPageCacheMaterializationVisibility(t *testing.T) {
 
 // Sweeping across more pages than the cache holds (MRU + 2 victims)
 // must still read every word back, exercising victim promotion and
-// map refill.
+// table refill.
 func TestPageCacheCrossPageSweep(t *testing.T) {
 	m := New()
 	const pages = 8
@@ -232,8 +232,8 @@ func TestPageCacheCrossPageSweep(t *testing.T) {
 	check([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	check([]int{7, 6, 5, 4, 3, 2, 1, 0})
 	check([]int{0, 4, 1, 5, 2, 6, 3, 7, 0, 7})
-	if m.PagesTouched != pages {
-		t.Fatalf("PagesTouched = %d, want %d", m.PagesTouched, pages)
+	if m.PagesTouched() != pages {
+		t.Fatalf("PagesTouched = %d, want %d", m.PagesTouched(), pages)
 	}
 }
 
@@ -303,12 +303,12 @@ func TestPagesTouchedCountsDistinctPages(t *testing.T) {
 	m.WriteWord(8, 2)         // same page
 	m.WriteWord(PageBytes, 3) // second page
 	m.WriteWord(1<<30, 4)     // third page
-	if m.PagesTouched != 3 {
-		t.Fatalf("PagesTouched = %d, want 3", m.PagesTouched)
+	if m.PagesTouched() != 3 {
+		t.Fatalf("PagesTouched = %d, want 3", m.PagesTouched())
 	}
 	// Reads of untouched pages must not materialize them.
 	_ = m.ReadWord(1 << 40)
-	if m.PagesTouched != 3 {
-		t.Fatalf("read materialized a page: %d", m.PagesTouched)
+	if m.PagesTouched() != 3 {
+		t.Fatalf("read materialized a page: %d", m.PagesTouched())
 	}
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "memfwd/internal/addrtab"
+
 // Snapshot/Restore for the functional memory state. A snapshot is a
 // deep, process-local copy of the architectural state — materialized
 // pages (words + fbit bitmaps) for Memory, and the full heap map
@@ -14,46 +16,26 @@ package mem
 
 // MemorySnapshot is a deep copy of a Memory's architectural state:
 // every materialized page, including the per-word forwarding-bit
-// bitmap, plus the PagesTouched accounting. The MRU/victim page cache
-// is performance state, not architectural state, and is not captured.
+// bitmap. Restoring or encoding a snapshot never writes its page
+// front, so concurrent restores and encoders may share one.
 type MemorySnapshot struct {
-	pages        map[Addr]*page
-	pagesTouched int
+	pages addrtab.Pages[page]
 }
 
 // Snapshot captures a deep copy of the memory's architectural state.
 func (m *Memory) Snapshot() *MemorySnapshot {
-	s := &MemorySnapshot{
-		pages:        make(map[Addr]*page, len(m.pages)),
-		pagesTouched: m.PagesTouched,
-	}
-	for pn, p := range m.pages {
-		cp := *p // page is two arrays; value copy is a deep copy
-		s.pages[pn] = &cp
-	}
-	return s
+	return &MemorySnapshot{pages: m.pages.Clone()}
 }
 
-// Restore replaces m's pages and accounting with a deep copy of the
-// snapshot. The direct page cache is invalidated (it would otherwise
-// alias the discarded pages), and the writeFault hook is left alone:
-// fault injection is wiring of the target machine, not memory state.
+// Restore replaces m's pages with a deep copy of the snapshot. The
+// writeFault hook is left alone: fault injection is wiring of the
+// target machine, not memory state.
 func (m *Memory) Restore(s *MemorySnapshot) {
-	pages := make(map[Addr]*page, len(s.pages))
-	for pn, p := range s.pages {
-		cp := *p
-		pages[pn] = &cp
-	}
-	m.pages = pages
-	m.PagesTouched = s.pagesTouched
-	m.mruPN, m.mru = 0, nil
-	m.vicPN = [2]Addr{}
-	m.vic = [2]*page{}
-	m.vicPtr = 0
+	m.pages = s.pages.Clone()
 }
 
 // Pages returns the number of materialized pages in the snapshot.
-func (s *MemorySnapshot) Pages() int { return len(s.pages) }
+func (s *MemorySnapshot) Pages() int { return s.pages.Len() }
 
 // AllocatorSnapshot is a deep copy of an Allocator's heap state. The
 // per-size free stacks are copied slice-by-slice so LIFO reuse order —

@@ -1,6 +1,12 @@
 package mem
 
-import "testing"
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"memfwd/internal/wire"
+)
 
 // TestMemorySnapshotRoundTrip pins the deep-copy contract: a snapshot
 // is unaffected by later mutation of the source, Restore reproduces
@@ -28,7 +34,7 @@ func TestMemorySnapshotRoundTrip(t *testing.T) {
 			want = append(want, cell{a, v, f})
 		}
 	}
-	wantTouched := m.PagesTouched
+	wantTouched := m.PagesTouched()
 
 	s := m.Snapshot()
 
@@ -39,8 +45,8 @@ func TestMemorySnapshotRoundTrip(t *testing.T) {
 
 	check := func(got *Memory) {
 		t.Helper()
-		if got.PagesTouched != wantTouched {
-			t.Fatalf("PagesTouched = %d, want %d", got.PagesTouched, wantTouched)
+		if got.PagesTouched() != wantTouched {
+			t.Fatalf("PagesTouched = %d, want %d", got.PagesTouched(), wantTouched)
 		}
 		if len(got.TouchedPages()) != s.Pages() {
 			t.Fatalf("restored %d pages, snapshot has %d", len(got.TouchedPages()), s.Pages())
@@ -119,4 +125,36 @@ func TestAllocatorSnapshotRoundTrip(t *testing.T) {
 			al2.BytesAllocated, al2.BytesLive, al2.PeakLive,
 			al.BytesAllocated, al.BytesLive, al.PeakLive)
 	}
+}
+
+// A held snapshot is read by concurrent restores and encoders (the
+// session server restores one snapshot onto several shards while its
+// store encodes it), so neither may write it — not even the page
+// table's front. Run under -race.
+func TestSnapshotConcurrentReaders(t *testing.T) {
+	m := New()
+	for i := 0; i < 16; i++ {
+		m.WriteWordFBit(Addr(i)*3*PageBytes, uint64(i)+1, i%2 == 0)
+	}
+	s := m.Snapshot()
+	var want wire.Writer
+	s.EncodeWire(&want)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var w wire.Writer
+			s.EncodeWire(&w)
+			if !bytes.Equal(w.Bytes(), want.Bytes()) {
+				t.Error("concurrent encode differs")
+			}
+			r := New()
+			r.Restore(s)
+			if v, f := r.ReadWordFBit(6 * PageBytes); v != 3 || !f {
+				t.Errorf("restored word = (%d,%v), want (3,true)", v, f)
+			}
+		}()
+	}
+	wg.Wait()
 }

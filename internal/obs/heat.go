@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/report"
 )
 
@@ -60,12 +61,13 @@ const (
 // Word-to-object resolution uses an exact per-word index (objects are
 // word-aligned, so every word belongs to at most one block); accesses
 // to words outside any tracked block (stack, globals, evicted blocks)
-// count in Untracked. The index is paged like mem.Memory: one slot per
-// word holding the covering live block's profile id, pages
-// materialized on first use and never released, and the last page
-// touched cached so consecutive accesses to one page skip the page
-// map. Profiles live in a slab addressed by those ids, so neither the
-// index nor the slab holds a pointer for the collector to scan.
+// count in Untracked. The index is an addrtab.Pages table, as
+// mem.Memory is: one slot per word holding the covering live block's
+// profile id, pages materialized on first use and never released, and
+// the page table's MRU page and victim file resolving runs of accesses
+// among three recent pages without a probe. Profiles live in a slab
+// addressed by those ids, so neither the index nor the slab holds a
+// pointer for the collector to scan.
 //
 // Like the Machine it instruments, a HeatMap is not safe for concurrent
 // use; concurrent readers get Snapshot copies.
@@ -74,9 +76,7 @@ type HeatMap struct {
 	slab []HeatObject      // id -> profile; id 0 means "no block"
 	free []uint32          // ids released by eviction and decay
 
-	pages map[uint64]*heatPage // page number -> word slots
-	mruPN uint64
-	mru   *heatPage
+	pages addrtab.Pages[heatPage] // page number -> word slots
 
 	maxObjects int
 	epochEvery uint64
@@ -109,7 +109,7 @@ func NewHeatMap(maxObjects int, epochEvery uint64) *HeatMap {
 	return &HeatMap{
 		objs:       make(map[uint64]uint32),
 		slab:       make([]HeatObject, 1),
-		pages:      make(map[uint64]*heatPage),
+		pages:      addrtab.NewPages[heatPage](0),
 		maxObjects: maxObjects,
 		epochEvery: epochEvery,
 	}
@@ -179,38 +179,18 @@ func (h *HeatMap) index(id uint32, set bool) {
 	for w := o.Base >> 3; w < end; {
 		off := w & (heatPageWords - 1)
 		n := min(heatPageWords-off, end-w)
-		if p := h.page(w<<3, set); p != nil {
-			slots := p[off : off+n]
-			for i := range slots {
-				if set {
-					slots[i] = id
-				} else if slots[i] == id {
-					slots[i] = 0
-				}
+		// A live block's pages were materialized when it was indexed,
+		// so clearing it materializes nothing.
+		slots := h.pages.Ensure(w >> (heatPageShift - 3))[off : off+n]
+		for i := range slots {
+			if set {
+				slots[i] = id
+			} else if slots[i] == id {
+				slots[i] = 0
 			}
 		}
 		w += n
 	}
-}
-
-// page returns the index page covering addr: the cached MRU page when
-// it matches, else from the page map — materialized when create is set,
-// nil when nothing was ever indexed there.
-func (h *HeatMap) page(addr uint64, create bool) *heatPage {
-	pn := addr >> heatPageShift
-	if pn == h.mruPN && h.mru != nil {
-		return h.mru
-	}
-	p := h.pages[pn]
-	if p == nil {
-		if !create {
-			return nil
-		}
-		p = new(heatPage)
-		h.pages[pn] = p
-	}
-	h.mru, h.mruPN = p, pn
-	return p
 }
 
 // evictColdest removes the lowest-heat entry, preferring dead blocks:
@@ -245,7 +225,7 @@ func (h *HeatMap) evictColdest() {
 
 // lookup resolves a word address to its tracked live object, if any.
 func (h *HeatMap) lookup(addr uint64) *HeatObject {
-	p := h.page(addr, false)
+	p := h.pages.Get(addr >> heatPageShift)
 	if p == nil {
 		return nil
 	}

@@ -1,9 +1,9 @@
 package sched
 
-// prng is a splitmix64 generator. The scheduler cannot use math/rand:
-// the cursor (Cursor/SetCursor) must round-trip the generator state
-// byte-exactly through snapshots, and splitmix64's whole state is one
-// word. Quality is far beyond what interleaving choice needs.
+// prng is a splitmix64 generator: the schedule is a pure function of
+// the seed, so a seed replays its interleaving exactly, and the whole
+// state is one word. Quality is far beyond what interleaving choice
+// needs.
 type prng struct {
 	state uint64
 }

@@ -396,8 +396,8 @@ func (g *Group) drain(h *hart) {
 
 // Quiesce drives every in-flight job to completion, leaving the group
 // idle and the heap free of half-planted relocations. Required before
-// Cursor, SaveState on the underlying machine, or a final digest that
-// should reflect only committed relocations.
+// SaveState on the underlying machine, or a final digest that should
+// reflect only committed relocations.
 func (g *Group) Quiesce() {
 	if g.inService {
 		return

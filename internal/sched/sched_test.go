@@ -52,17 +52,6 @@ func newWorkload(t *testing.T, seed uint64) *workload {
 	return &workload{t: t, rng: lcg{s: seed}}
 }
 
-// clone deep-copies the model so a snapshot restored onto a second
-// machine can be driven through the same continuation.
-func (w *workload) clone(t *testing.T) *workload {
-	c := &workload{t: t, rng: w.rng, sum: w.sum, ops: w.ops}
-	c.blocks = make([]wblock, len(w.blocks))
-	for i, b := range w.blocks {
-		c.blocks[i] = wblock{base: b.base, vals: append([]uint64(nil), b.vals...)}
-	}
-	return c
-}
-
 func (w *workload) run(m app.Machine, n int) {
 	for i := 0; i < n; i++ {
 		w.ops++
@@ -198,11 +187,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(harts=8) on the oracle: %v", err)
 	}
-	defer g2.Close()
-	// A cursor naming an out-of-range guest hart is rejected cleanly.
-	if err := g2.SetCursor(sched.Cursor{GuestHart: 9}); err == nil {
-		t.Error("SetCursor accepted an out-of-range guest hart")
-	}
+	g2.Close()
 }
 
 // TestTransparentAtOneHart: a 1-hart group schedules nothing and is a
@@ -268,15 +253,14 @@ func TestConcurrentRelocationSafety(t *testing.T) {
 }
 
 // TestScheduleDeterminism: equal seeds over equal guest operation
-// sequences replay identical interleavings — identical accounting and
-// identical cursors — and *different* seeds still converge to the same
-// guest-visible behaviour.
+// sequences replay identical interleavings — identical accounting —
+// and *different* seeds still converge to the same guest-visible
+// behaviour.
 func TestScheduleDeterminism(t *testing.T) {
 	const seed, ops = 5, 5000
 	type outcome struct {
 		sum, dig uint64
 		st       sched.Stats
-		cur      sched.Cursor
 	}
 	once := func(schedSeed int64) outcome {
 		om := oracle.New(oracle.Config{})
@@ -288,7 +272,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		w := newWorkload(t, seed)
 		w.run(g, ops)
 		g.Quiesce()
-		return outcome{sum: w.sum, dig: digestOf(t, g), st: g.Stats(), cur: g.Cursor()}
+		return outcome{sum: w.sum, dig: digestOf(t, g), st: g.Stats()}
 	}
 	a, b := once(11), once(11)
 	if a.sum != b.sum || a.dig != b.dig {
@@ -296,9 +280,6 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 	if a.st != b.st {
 		t.Errorf("same seed, different accounting: %+v vs %+v", a.st, b.st)
-	}
-	if !reflect.DeepEqual(a.cur, b.cur) {
-		t.Errorf("same seed, different cursors:\n  %+v\n  %+v", a.cur, b.cur)
 	}
 	c := once(12)
 	if c.st == a.st {
@@ -471,25 +452,20 @@ func TestRandomFaultedSchedule(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreMidSchedule: SaveState round-trips the multi-hart
-// machine byte-exactly, the scheduler cursor round-trips through
-// SetCursor, and the restored pair continues instruction-for-
-// instruction identically to the source — timing included.
+// TestSnapshotRestoreMidSchedule: a multi-hart machine saved
+// mid-schedule (quiesced, so no relocation is half planted) restores
+// and re-saves byte-identically.
 func TestSnapshotRestoreMidSchedule(t *testing.T) {
 	cfg := sim.Config{Harts: 2}
-	scfg := sched.Config{Harts: 2, Seed: 3, Interval: 8}
-
 	m1 := sim.New(cfg)
-	g1, err := sched.New(m1, scfg)
+	g1, err := sched.New(m1, sched.Config{Harts: 2, Seed: 3, Interval: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g1.Close()
-	w1 := newWorkload(t, 42)
-	w1.run(g1, 3000)
+	newWorkload(t, 42).run(g1, 3000)
 	g1.Quiesce()
 	st := m1.SaveState()
-	cur := g1.Cursor()
 
 	m2 := sim.New(cfg)
 	if err := m2.LoadState(st); err != nil {
@@ -497,39 +473,6 @@ func TestSnapshotRestoreMidSchedule(t *testing.T) {
 	}
 	if st2 := m2.SaveState(); !reflect.DeepEqual(st, st2) {
 		t.Error("restored machine does not re-save byte-identically")
-	}
-	g2, err := sched.New(m2, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	if err := g2.SetCursor(cur); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g2.Cursor(), cur) {
-		t.Error("cursor did not round-trip through SetCursor")
-	}
-
-	w2 := w1.clone(t)
-	w1.run(g1, 3000)
-	w2.run(g2, 3000)
-	g1.Quiesce()
-	g2.Quiesce()
-	if w1.sum != w2.sum {
-		t.Errorf("continuations diverged: checksum %#x vs %#x", w1.sum, w2.sum)
-	}
-	if d1, d2 := digestOf(t, g1), digestOf(t, g2); d1 != d2 {
-		t.Errorf("continuations diverged: digest %#x vs %#x", d1, d2)
-	}
-	if g1.Stats() != g2.Stats() {
-		t.Errorf("continuations scheduled differently: %+v vs %+v", g1.Stats(), g2.Stats())
-	}
-	if !reflect.DeepEqual(g1.Cursor(), g2.Cursor()) {
-		t.Error("continuations ended with different cursors")
-	}
-	s1, s2 := m1.Finalize(), m2.Finalize()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("continuations diverged in timing:\n  %+v\n  %+v", s1, s2)
 	}
 }
 

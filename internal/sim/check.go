@@ -31,42 +31,39 @@ func (m *Machine) CheckInvariants() error {
 	occupied := 0
 	below := 0
 	floor := m.Pipe.DispatchFloor()
-	for i := range m.ptrProv.slots {
-		s := m.ptrProv.slots[i]
-		if s.key == 0 {
-			continue
-		}
+	var err error
+	m.ptrProv.Each(func(k uint64, e ptrEntry) {
 		occupied++
-		k := s.key - 1
-		e, ok := m.ptrProv.get(k)
-		if !ok {
-			return fmt.Errorf("sim: prov entry %#x stranded (unreachable by probe)", k)
+		if err != nil {
+			return
 		}
-		if e.base>>8 != k {
-			return fmt.Errorf("sim: prov entry key %#x inconsistent with base %#x", k, e.base)
-		}
-		if a := mem.Addr(e.base); a < m.cfg.HeapBase || a >= m.cfg.HeapBase+mem.Addr(m.cfg.HeapLimit) {
-			return fmt.Errorf("sim: prov entry base %#x outside heap", e.base)
-		}
-		if e.ready <= floor {
+		if _, ok := m.ptrProv.Get(k); !ok {
+			err = fmt.Errorf("sim: prov entry %#x stranded (unreachable by probe)", k)
+		} else if e.base>>8 != k {
+			err = fmt.Errorf("sim: prov entry key %#x inconsistent with base %#x", k, e.base)
+		} else if a := mem.Addr(e.base); a < m.cfg.HeapBase || a >= m.cfg.HeapBase+mem.Addr(m.cfg.HeapLimit) {
+			err = fmt.Errorf("sim: prov entry base %#x outside heap", e.base)
+		} else if e.ready <= floor {
 			below++
 		}
+	})
+	if err != nil {
+		return err
 	}
-	if occupied != m.ptrProv.n {
-		return fmt.Errorf("sim: prov occupancy %d != recorded count %d", occupied, m.ptrProv.n)
+	if occupied != m.ptrProv.Len() {
+		return fmt.Errorf("sim: prov occupancy %d != recorded count %d", occupied, m.ptrProv.Len())
 	}
-	before := m.ptrProv.n
+	before := m.ptrProv.Len()
 	m.evictProv()
-	if got, want := before-m.ptrProv.n, below; got != want {
+	if got, want := before-m.ptrProv.Len(), below; got != want {
 		return fmt.Errorf("sim: prov sweep evicted %d entries, %d were at or below dispatch floor %d",
 			got, want, floor)
 	}
-	for i := range m.ptrProv.slots {
-		s := m.ptrProv.slots[i]
-		if s.key != 0 && s.ent.ready <= floor {
-			return fmt.Errorf("sim: prov entry base %#x survived sweep with ready %d <= floor %d",
-				s.ent.base, s.ent.ready, floor)
+	m.ptrProv.Each(func(_ uint64, e ptrEntry) {
+		if err == nil && e.ready <= floor {
+			err = fmt.Errorf("sim: prov entry base %#x survived sweep with ready %d <= floor %d",
+				e.base, e.ready, floor)
 		}
-	}
-	return nil
+	})
+	return err
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/cache"
 	"memfwd/internal/cpu"
 	"memfwd/internal/mem"
@@ -318,19 +319,16 @@ func decodeStrings(r *wire.Reader) []string {
 // never affects lookups, sweeps, or timing, so only the entry set is
 // state worth carrying.
 func encodeProv(w *wire.Writer, t *provTable) {
-	w.Int(len(t.slots))
-	ents := make([]provSlot, 0, t.n)
-	for _, s := range t.slots {
-		if s.key != 0 {
-			ents = append(ents, s)
-		}
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
-	w.U32(uint32(len(ents)))
-	for _, s := range ents {
-		w.U64(s.key - 1) // stored keys are logical key + 1
-		w.U64(s.ent.base)
-		w.I64(s.ent.ready)
+	w.Int(t.Cap())
+	keys := make([]uint64, 0, t.Len())
+	t.Each(func(k uint64, _ ptrEntry) { keys = append(keys, k) })
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	w.U32(uint32(len(keys)))
+	for _, k := range keys {
+		e, _ := t.Get(k)
+		w.U64(k)
+		w.U64(e.base)
+		w.I64(e.ready)
 	}
 }
 
@@ -352,7 +350,7 @@ func decodeProv(r *wire.Reader) provTable {
 		r.Failf("sim: %d provenance entries overfill %d slots", n, capSlots)
 		return provTable{}
 	}
-	t := makeProvTable(capSlots)
+	t := addrtab.New[ptrEntry](capSlots / 2) // exactly capSlots slots
 	prev := uint64(0)
 	for i := 0; i < n; i++ {
 		k := r.U64()
@@ -368,7 +366,7 @@ func decodeProv(r *wire.Reader) provTable {
 			return t
 		}
 		prev = k
-		t.put(k, ptrEntry{base: r.U64(), ready: r.I64()})
+		t.Put(k, ptrEntry{base: r.U64(), ready: r.I64()})
 	}
 	return t
 }

@@ -23,6 +23,7 @@ package sim
 import (
 	"fmt"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/cache"
 	"memfwd/internal/cpu"
 	"memfwd/internal/mem"
@@ -56,9 +57,6 @@ func (m *Machine) HartCount() int {
 	}
 	return len(m.harts)
 }
-
-// CurrentHart returns the hart the machine is currently executing as.
-func (m *Machine) CurrentHart() int { return m.curHart }
 
 // SetHart switches the machine to execute as hart i: subsequent
 // operations run on hart i's pipeline and caches and accumulate into
@@ -143,19 +141,7 @@ func (m *Machine) buildHarts(cfg Config) {
 			l2:            l2,
 			mispredictCtr: mispredictEvery,
 			depCtr:        uint32(cfg.DepEvery),
-			ptrProv:       newProvTable(m.provLimit),
+			ptrProv:       addrtab.New[ptrEntry](m.provLimit),
 		}
 	}
-}
-
-// HartStats returns hart i's accumulated machine statistics (the same
-// shape Finalize fills for hart 0, minus the whole-machine heap fields,
-// which are shared). Mainly for tests and telemetry: the figure
-// pipelines read hart 0 through Finalize as always.
-func (m *Machine) HartStats(i int) *Stats {
-	if i == m.curHart {
-		return m.fillFor(m.Pipe, m.L1, m.L2, m.stats)
-	}
-	h := &m.harts[i]
-	return m.fillFor(h.pipe, h.l1, h.l2, h.stats)
 }

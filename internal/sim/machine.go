@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/cache"
 	"memfwd/internal/core"
 	"memfwd/internal/cpu"
@@ -348,7 +349,7 @@ func New(cfg Config) *Machine {
 		sites: []string{"<unknown>"},
 	}
 	mach.provLimit = provLimitFor(mach.Pipe.Config())
-	mach.ptrProv = newProvTable(mach.provLimit)
+	mach.ptrProv = addrtab.New[ptrEntry](mach.provLimit)
 	mach.mispredictCtr = mispredictEvery
 	mach.depCtr = uint32(cfg.DepEvery)
 	mach.hopFn = func(wa mem.Addr, hop int) {
@@ -502,6 +503,9 @@ type ptrEntry struct {
 	ready int64
 }
 
+// provTable is the provenance window (see ptrProv).
+type provTable = addrtab.Table[ptrEntry]
+
 // recordPtr notes that a load produced value v (a plausible heap
 // pointer) at cycle ready. When the provenance map reaches its bound, a
 // clock sweep evicts every entry already at or below the dispatch
@@ -510,10 +514,10 @@ func (m *Machine) recordPtr(v uint64, ready int64) {
 	if v == 0 || mem.Addr(v) < m.cfg.HeapBase || mem.Addr(v) >= m.cfg.HeapBase+mem.Addr(m.cfg.HeapLimit) {
 		return
 	}
-	if m.ptrProv.n >= m.provLimit {
+	if m.ptrProv.Len() >= m.provLimit {
 		m.evictProv()
 	}
-	m.ptrProv.put(v>>8, ptrEntry{base: v, ready: ready})
+	m.ptrProv.Put(v>>8, ptrEntry{base: v, ready: ready})
 }
 
 // evictProv drops provenance entries whose ready time the dispatch
@@ -521,22 +525,23 @@ func (m *Machine) recordPtr(v uint64, ready int64) {
 // Prefetch, and timedRawLoad apply provenance as max(dispatch, ready),
 // and dispatch never moves backwards.
 func (m *Machine) evictProv() {
-	m.ptrProv.sweep(m.Pipe.DispatchFloor())
+	floor := m.Pipe.DispatchFloor()
+	m.ptrProv.Filter(func(_ uint64, e ptrEntry) bool { return e.ready > floor })
 }
 
 // addrReady returns the earliest cycle at which the address a is
 // available, given pointer provenance: if a falls within 256 bytes of a
 // recently loaded pointer value, the access depends on that load.
 func (m *Machine) addrReady(a mem.Addr) int64 {
-	if m.ptrProv.n == 0 {
+	if m.ptrProv.Len() == 0 {
 		return 0
 	}
 	u := uint64(a)
-	if e, ok := m.ptrProv.get(u >> 8); ok && u >= e.base && u-e.base < 256 {
+	if e, ok := m.ptrProv.Get(u >> 8); ok && u >= e.base && u-e.base < 256 {
 		return e.ready
 	}
 	if k := u >> 8; k > 0 {
-		if e, ok := m.ptrProv.get(k - 1); ok && u >= e.base && u-e.base < 256 {
+		if e, ok := m.ptrProv.Get(k - 1); ok && u >= e.base && u-e.base < 256 {
 			return e.ready
 		}
 	}
@@ -854,15 +859,11 @@ func (m *Machine) Finalize() *Stats {
 	return m.fill()
 }
 
+// fill assembles a Stats view from the current hart's timing state plus
+// the shared functional counters (forwarder, allocator, page footprint).
 func (m *Machine) fill() *Stats {
-	return m.fillFor(m.Pipe, m.L1, m.L2, m.stats)
-}
-
-// fillFor assembles a Stats view from one hart's timing state plus the
-// shared functional counters (forwarder, allocator, page footprint).
-func (m *Machine) fillFor(pipe *cpu.Pipeline, l1, l2 *cache.Cache, acc Stats) *Stats {
-	st := acc
-	ps := pipe.Stats
+	st := m.stats
+	ps := m.Pipe.Stats
 	st.Cycles = ps.Cycles
 	st.Slots = [4]uint64{
 		ps.Slots[cpu.Busy], ps.Slots[cpu.LoadStall],
@@ -873,14 +874,14 @@ func (m *Machine) fillFor(pipe *cpu.Pipeline, l1, l2 *cache.Cache, acc Stats) *S
 	st.Stores = ps.Stores
 	st.DepViolations = ps.DepViolations
 	st.DepBypasses = ps.DepBypasses
-	st.L1 = l1.Stats
-	st.L2 = l2.Stats
-	st.BytesL1L2 = l1.Stats.BytesFromNext + l1.Stats.BytesToNext
-	st.BytesL2Mem = l2.Stats.BytesFromNext + l2.Stats.BytesToNext
+	st.L1 = m.L1.Stats
+	st.L2 = m.L2.Stats
+	st.BytesL1L2 = m.L1.Stats.BytesFromNext + m.L1.Stats.BytesToNext
+	st.BytesL2Mem = m.L2.Stats.BytesFromNext + m.L2.Stats.BytesToNext
 	st.CycleFalseAlarms = m.Fwd.CycleFalseAlarms
 	st.CyclesDetected = m.Fwd.CyclesDetected
 	st.HeapPeak = m.Alloc.PeakLive
 	st.HeapAllocated = m.Alloc.BytesAllocated
-	st.PagesTouched = m.Mem.PagesTouched
+	st.PagesTouched = m.Mem.PagesTouched()
 	return &st
 }

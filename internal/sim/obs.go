@@ -133,7 +133,7 @@ func (m *Machine) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("heap.live_bytes", func() float64 { return float64(m.Alloc.BytesLive) })
 	r.GaugeFunc("heap.peak_bytes", func() float64 { return float64(m.Alloc.PeakLive) })
 	r.GaugeFunc("heap.allocated_bytes", func() float64 { return float64(m.Alloc.BytesAllocated) })
-	r.GaugeFunc("mem.pages_touched", func() float64 { return float64(m.Mem.PagesTouched) })
+	r.GaugeFunc("mem.pages_touched", func() float64 { return float64(m.Mem.PagesTouched()) })
 }
 
 // SetSampleEvery attaches series and samples the machine roughly every

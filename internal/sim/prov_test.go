@@ -3,81 +3,9 @@ package sim
 import (
 	"testing"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/mem"
 )
-
-func TestProvTablePutGetOverwrite(t *testing.T) {
-	tb := newProvTable(16)
-	if _, ok := tb.get(42); ok {
-		t.Fatal("empty table returned an entry")
-	}
-	tb.put(42, ptrEntry{base: 100, ready: 7})
-	tb.put(43, ptrEntry{base: 200, ready: 9})
-	if e, ok := tb.get(42); !ok || e.base != 100 || e.ready != 7 {
-		t.Fatalf("get(42) = (%+v,%v)", e, ok)
-	}
-	tb.put(42, ptrEntry{base: 101, ready: 8})
-	if e, _ := tb.get(42); e.base != 101 || e.ready != 8 {
-		t.Fatalf("overwrite lost: %+v", e)
-	}
-	if tb.n != 2 {
-		t.Fatalf("n = %d, want 2 (overwrite must not double-count)", tb.n)
-	}
-	// Key 0 is legal (encoded as key+1 internally).
-	tb.put(0, ptrEntry{base: 1, ready: 1})
-	if e, ok := tb.get(0); !ok || e.base != 1 {
-		t.Fatalf("key 0: (%+v,%v)", e, ok)
-	}
-}
-
-// Colliding keys (same hash bucket under linear probing) must all stay
-// retrievable; deliberately insert many more entries than the initial
-// sizing to force at least one grow.
-func TestProvTableProbingAndGrow(t *testing.T) {
-	tb := newProvTable(8)
-	const n = 500
-	for i := uint64(0); i < n; i++ {
-		tb.put(i, ptrEntry{base: i * 10, ready: int64(i)})
-	}
-	if tb.n != n {
-		t.Fatalf("n = %d, want %d", tb.n, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		e, ok := tb.get(i)
-		if !ok || e.base != i*10 || e.ready != int64(i) {
-			t.Fatalf("get(%d) = (%+v,%v)", i, e, ok)
-		}
-	}
-	if _, ok := tb.get(n + 1); ok {
-		t.Fatal("absent key found after grow")
-	}
-}
-
-func TestProvTableSweep(t *testing.T) {
-	tb := newProvTable(16)
-	for i := uint64(0); i < 20; i++ {
-		tb.put(i, ptrEntry{base: i, ready: int64(i)})
-	}
-	tb.sweep(9) // evicts ready <= 9
-	if tb.n != 10 {
-		t.Fatalf("survivors = %d, want 10", tb.n)
-	}
-	for i := uint64(0); i < 20; i++ {
-		_, ok := tb.get(i)
-		if want := i >= 10; ok != want {
-			t.Fatalf("after sweep, get(%d) = %v, want %v", i, ok, want)
-		}
-	}
-	// Survivors must remain updatable and a second sweep repeatable.
-	tb.put(15, ptrEntry{base: 99, ready: 50})
-	tb.sweep(19)
-	if tb.n != 1 {
-		t.Fatalf("after second sweep n = %d, want 1", tb.n)
-	}
-	if e, ok := tb.get(15); !ok || e.base != 99 {
-		t.Fatalf("survivor lost: (%+v,%v)", e, ok)
-	}
-}
 
 // The provenance table must stay bounded over a run that produces far
 // more distinct pointer values than provLimit: the clock sweep evicts
@@ -95,17 +23,17 @@ func TestProvEvictionBoundsTable(t *testing.T) {
 		m.LoadWord(cells)
 		m.Inst(3)
 	}
-	if m.ptrProv.n > m.provLimit {
-		t.Fatalf("provenance table at %d entries exceeds limit %d", m.ptrProv.n, m.provLimit)
+	if m.ptrProv.Len() > m.provLimit {
+		t.Fatalf("provenance table at %d entries exceeds limit %d", m.ptrProv.Len(), m.provLimit)
 	}
-	if m.ptrProv.n == 0 {
+	if m.ptrProv.Len() == 0 {
 		t.Fatal("provenance table empty: recordPtr never ran")
 	}
 	// The table's backing array must not have grown past its initial
 	// sizing — the sweep, not the resize, is what bounds it.
-	if want := newProvTable(m.provLimit); len(m.ptrProv.slots) > len(want.slots) {
+	if want := addrtab.New[ptrEntry](m.provLimit); m.ptrProv.Cap() > want.Cap() {
 		t.Fatalf("table grew to %d slots despite sweeps (initial %d)",
-			len(m.ptrProv.slots), len(want.slots))
+			m.ptrProv.Cap(), want.Cap())
 	}
 }
 

@@ -106,7 +106,7 @@ func (m *Machine) SaveState() *MachineState {
 			l2:            h.l2.Snapshot(),
 			mispredictCtr: h.mispredictCtr,
 			depCtr:        h.depCtr,
-			prov:          h.ptrProv.clone(),
+			prov:          h.ptrProv.Clone(),
 			stats:         h.stats,
 		})
 	}
@@ -128,7 +128,7 @@ func (m *Machine) SaveState() *MachineState {
 		curSite:       m.curSite,
 		mispredictCtr: m.mispredictCtr,
 		depCtr:        m.depCtr,
-		prov:          m.ptrProv.clone(),
+		prov:          m.ptrProv.Clone(),
 		provLimit:     m.provLimit,
 		phases:        append([]string(nil), m.phases...),
 		sampleEvery:   m.sampleEvery,
@@ -167,7 +167,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 	m.curSite = st.curSite
 	m.mispredictCtr = st.mispredictCtr
 	m.depCtr = st.depCtr
-	m.ptrProv = st.prov.clone()
+	m.ptrProv = st.prov.Clone()
 	m.provLimit = st.provLimit
 	m.phases = append(m.phases[:0], st.phases...)
 	m.sampleEvery = st.sampleEvery
@@ -195,7 +195,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 		}
 		h.mispredictCtr = src.mispredictCtr
 		h.depCtr = src.depCtr
-		h.ptrProv = src.prov.clone()
+		h.ptrProv = src.prov.Clone()
 		h.stats = src.stats
 	}
 	m.cohInvL1 = st.cohInvL1
