@@ -125,7 +125,10 @@ func MB(n uint64) string {
 // two-space-indented encoding of runs, stats, series, and telemetry
 // snapshots, shared by cmd/figures -json, cmd/memfwd-sim -json, and the
 // HTTP telemetry plane so their encodings can never drift apart.
-// (memfwd.WriteJSON delegates here.)
+// (memfwd.WriteJSON delegates here.) The session server's /op replies
+// are the one exception: an appender in internal/serve writes them
+// without reflection, and FuzzOpRequest holds its bytes equal to this
+// function's.
 func WriteJSON(w io.Writer, v interface{}) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -588,18 +588,26 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	report.WriteJSON(w, map[string]string{"error": fmt.Sprintf(format, args...)}) //nolint:errcheck
 }
 
+// maxBodyBytes caps every request body.
+const maxBodyBytes = 1 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		writeBodyErr(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyErr answers a body that failed to decode: 413 past the cap,
+// 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // clearDeadlines lifts the server's read/write timeouts for a handler
@@ -689,12 +697,16 @@ func (sv *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req opRequest
-	if !decode(w, r, &req) {
+	bufs := opBufPool.Get().(*opBuffers)
+	defer putOpBuffers(bufs)
+	req, ok := readOpRequest(w, r, &bufs.body)
+	if !ok {
 		return
 	}
+	// A present ops array is a batch, even an empty one; {} and
+	// {"ops": null} are one op with no name.
 	batch := req.Ops
-	single := len(batch) == 0
+	single := batch == nil
 	if single {
 		batch = []opRequest{req}
 	}
@@ -715,11 +727,9 @@ func (sv *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "storage: %v", err)
 		return
 	}
-	if single {
-		writeJSON(w, results[0])
-		return
-	}
-	writeJSON(w, map[string]any{"results": results})
+	bufs.reply = appendOpReply(bufs.reply[:0], results, single)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(bufs.reply) //nolint:errcheck // as writeJSON
 }
 
 // stepResponse is the POST .../step reply.

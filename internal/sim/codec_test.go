@@ -113,8 +113,8 @@ func TestStateCodecRoundTrip(t *testing.T) {
 					t.Fatalf("continuation load %d: %#x vs %#x", i, va, vb)
 				}
 			}
-			if a.stats != b.stats {
-				t.Fatalf("continuation stats diverge:\n%+v\n%+v", a.stats, b.stats)
+			if *a.stats != *b.stats {
+				t.Fatalf("continuation stats diverge:\n%+v\n%+v", *a.stats, *b.stats)
 			}
 			fa, errA := EncodeState(a.SaveState())
 			fb, errB := EncodeState(b.SaveState())

@@ -37,17 +37,17 @@ const MaxHarts = 64
 // hartState is one hart's private timing state. The machine's exported
 // Pipe/L1/L2 fields and unexported hot-path fields always belong to the
 // *current* hart; SetHart stashes them here and loads the target's.
-// The pipe/l1/l2 pointers are immutable after New, so the stash only
-// moves the mutable scalars.
+// The pipe/l1/l2/stats pointers are immutable after New, so the stash
+// only moves the mutable scalars.
 type hartState struct {
-	pipe *cpu.Pipeline
-	l1   *cache.Cache
-	l2   *cache.Cache
+	pipe  *cpu.Pipeline
+	l1    *cache.Cache
+	l2    *cache.Cache
+	stats *Stats
 
 	mispredictCtr uint32
 	depCtr        uint32
 	ptrProv       provTable
-	stats         Stats
 }
 
 // HartCount returns the number of harts the machine was built with.
@@ -80,12 +80,10 @@ func (m *Machine) SetHart(i int) {
 	h := &m.harts[m.curHart]
 	h.mispredictCtr, h.depCtr = m.mispredictCtr, m.depCtr
 	h.ptrProv = m.ptrProv
-	h.stats = m.stats
 	t := &m.harts[i]
-	m.Pipe, m.L1, m.L2 = t.pipe, t.l1, t.l2
+	m.Pipe, m.L1, m.L2, m.stats = t.pipe, t.l1, t.l2, t.stats
 	m.mispredictCtr, m.depCtr = t.mispredictCtr, t.depCtr
 	m.ptrProv = t.ptrProv
-	m.stats = t.stats
 	m.curHart = i
 }
 
@@ -123,7 +121,7 @@ func (m *Machine) CoherenceInvalidations() (l1, l2 uint64) { return m.cohInvL1, 
 // fresh hierarchies chained onto the shared main memory.
 func (m *Machine) buildHarts(cfg Config) {
 	m.harts = make([]hartState, cfg.Harts)
-	m.harts[0] = hartState{pipe: m.Pipe, l1: m.L1, l2: m.L2}
+	m.harts[0] = hartState{pipe: m.Pipe, l1: m.L1, l2: m.L2, stats: m.stats}
 	for i := 1; i < cfg.Harts; i++ {
 		l2 := cache.New(cache.Config{
 			Name: "L2", SizeBytes: cfg.L2Size, LineSize: cfg.LineSize,
@@ -139,6 +137,7 @@ func (m *Machine) buildHarts(cfg Config) {
 			pipe:          cpu.New(cfg.CPU),
 			l1:            l1,
 			l2:            l2,
+			stats:         new(Stats),
 			mispredictCtr: mispredictEvery,
 			depCtr:        uint32(cfg.DepEvery),
 			ptrProv:       addrtab.New[ptrEntry](m.provLimit),

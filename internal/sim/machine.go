@@ -232,7 +232,10 @@ type Machine struct {
 	heat        *obs.HeatMap
 	spans       *obs.SpanTable
 
-	stats     Stats
+	// stats holds the current hart's latency accumulators, hop
+	// histograms and trap count; fill derives the other Stats fields.
+	// Each hart owns its own, so SetHart moves one pointer.
+	stats     *Stats
 	finalized bool
 
 	// Multi-hart state (nil/zero on a single-hart machine, so the
@@ -347,6 +350,7 @@ func New(cfg Config) *Machine {
 		Pipe:  cpu.New(cfg.CPU),
 		tiers: tiers,
 		sites: []string{"<unknown>"},
+		stats: new(Stats),
 	}
 	mach.provLimit = provLimitFor(mach.Pipe.Config())
 	mach.ptrProv = addrtab.New[ptrEntry](mach.provLimit)
@@ -862,7 +866,7 @@ func (m *Machine) Finalize() *Stats {
 // fill assembles a Stats view from the current hart's timing state plus
 // the shared functional counters (forwarder, allocator, page footprint).
 func (m *Machine) fill() *Stats {
-	st := m.stats
+	st := *m.stats
 	ps := m.Pipe.Stats
 	st.Cycles = ps.Cycles
 	st.Slots = [4]uint64{

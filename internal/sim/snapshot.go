@@ -107,7 +107,7 @@ func (m *Machine) SaveState() *MachineState {
 			mispredictCtr: h.mispredictCtr,
 			depCtr:        h.depCtr,
 			prov:          h.ptrProv.Clone(),
-			stats:         h.stats,
+			stats:         *h.stats,
 		})
 	}
 	return &MachineState{
@@ -134,7 +134,7 @@ func (m *Machine) SaveState() *MachineState {
 		sampleEvery:   m.sampleEvery,
 		sampleNext:    m.sampleNext,
 		samplePrev:    m.samplePrev,
-		stats:         m.stats,
+		stats:         *m.stats,
 		finalized:     m.finalized,
 	}
 }
@@ -173,7 +173,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 	m.sampleEvery = st.sampleEvery
 	m.sampleNext = st.sampleNext
 	m.samplePrev = st.samplePrev
-	m.stats = st.stats
+	*m.stats = st.stats
 	m.finalized = st.finalized
 	m.hopScratch = m.hopScratch[:0]
 	m.chainScratch = m.chainScratch[:0]
@@ -196,7 +196,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 		h.mispredictCtr = src.mispredictCtr
 		h.depCtr = src.depCtr
 		h.ptrProv = src.prov.Clone()
-		h.stats = src.stats
+		*h.stats = src.stats
 	}
 	m.cohInvL1 = st.cohInvL1
 	m.cohInvL2 = st.cohInvL2
