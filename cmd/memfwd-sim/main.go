@@ -353,7 +353,6 @@ func main() {
 	}
 	if grp != nil {
 		grp.Quiesce()
-		grp.Close()
 	}
 	st := m.Finalize()
 	publish() // final snapshots: the lingering server serves end state

@@ -304,7 +304,6 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 			// the cmd flag parsing validates -harts before any cell runs.
 			panic(fmt.Sprintf("memfwd: bad hart count %d: %v", o.Harts, err))
 		}
-		defer grp.Close()
 		guest = grp
 	}
 	var daemon *tier.Daemon

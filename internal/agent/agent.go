@@ -5,6 +5,9 @@
 // (tier.Daemon) — each of which keeps only its policy: what to move,
 // and when. Nothing here owns a generator: every draw goes through the
 // caller's Rand, in the caller's order, so decisions replay from a seed.
+// Chaos and the daemon move a block whole through Relocate; the
+// scheduler steps an opt.Move and ends it with RollForward and
+// CheckMoved.
 package agent
 
 import (
@@ -176,22 +179,28 @@ func CrashPoint(rng Rand, words int, writes bool) (fault.Point, int) {
 
 // Relocate moves words words from src to tgt through the production
 // two-phase commit, opt.Context.TryRelocate, in the caller's context
-// c. A crash or torn move is rolled forward from c.Faults' journal and
-// reported as repaired. With no injector, TryRelocate's error is
-// returned (the heap is unchanged: copies are unreachable until
-// planted); a failed roll-forward panics. The machine's injector slot
-// is neither read nor written: each mover's injector travels in its
-// own context.
+// c, and rolls a crashed or torn move forward (RollForward). The
+// machine's injector slot is neither read nor written: each mover's
+// injector travels in its own context.
 func Relocate(m app.Machine, c opt.Context, src, tgt mem.Addr, words int) (repaired bool, err error) {
 	err = func() (err error) {
 		defer fault.RecoverCrash(&err)
 		return c.TryRelocate(m, src, tgt, words)
 	}()
-	if err == nil || c.Faults == nil {
+	return RollForward(m, c.Faults, src, err)
+}
+
+// RollForward ends a move of src that failed with err under injector
+// inj: a crash or torn move is rolled forward from inj's journal and
+// reported as repaired. With no injector err is returned (the heap is
+// unchanged: copies are unreachable until planted); a failed
+// roll-forward panics.
+func RollForward(m app.Machine, inj *fault.Injector, src mem.Addr, err error) (repaired bool, _ error) {
+	if err == nil || inj == nil {
 		return false, err
 	}
-	if _, serr := c.Faults.Repair(m.Memory(), m.Forwarder()); serr != nil {
-		panic(fmt.Sprintf("agent: scavenge of %#x after %q (shots %v): %v", src, err, c.Faults.Shots, serr))
+	if _, serr := inj.Repair(m.Memory(), m.Forwarder()); serr != nil {
+		panic(fmt.Sprintf("agent: scavenge of %#x after %q (shots %v): %v", src, err, inj.Shots, serr))
 	}
 	return true, nil
 }

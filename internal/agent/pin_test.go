@@ -150,7 +150,6 @@ func pinStack(t *testing.T, m app.Machine, mid func(app.Machine) app.Machine) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(grp.Close)
 	grp.EnableFaults()
 	rel := oracle.NewRelocator(mid(grp), 7, 0)
 	rel.EnableFaults(nil)

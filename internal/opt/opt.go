@@ -5,6 +5,8 @@
 //
 //   - Relocate is Figure 4(a): move an object word by word, appending
 //     the new location to the end of any existing forwarding chain.
+//     Its two-phase commit is a Move, which a caller may Step one word
+//     access at a time, as the relocator harts of internal/sched do.
 //   - Pool supplies relocation targets from contiguous memory,
 //     "thereby creating spatial locality" (Figure 4b).
 //   - ListLinearize is Figure 4(b): pack the nodes of a linked list
@@ -19,6 +21,7 @@ import (
 	"fmt"
 
 	"memfwd/internal/apps/app"
+	"memfwd/internal/core"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
@@ -167,86 +170,212 @@ func TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
 //     read-copy-plant step atomic with respect to mutator stores (a
 //     guest store between the copy phase and the plant would otherwise
 //     commit a stale copy).
+//
+// TryRelocate runs the move in one go; a relocator hart runs the same
+// Move one Step at a time.
 func (c Context) TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error {
-	if c.Barrier != nil {
-		c.Barrier.RelocationBarrier(src)
-	}
-	inj := c.Faults
-	var j *fault.Journal
-	if inj != nil {
-		j = &inj.Journal
-	}
-	fwd := m.Forwarder()
-	rec := beginSpan(&c, fwd, src, tgt, nWords)
-
-	j.Begin(src, tgt, nWords)
-	inj.Step(fault.RelocateBegin)
-
-	// Phase 1: walk each word's chain to its end and copy the value.
-	var endsBuf [16]mem.Addr
-	ends := endsBuf[:0]
-	restore := inj.Region(fault.CopyWrite)
-	for i := 0; i < nWords; i++ {
-		s := src + mem.Addr(i*mem.WordSize)
-		d := tgt + mem.Addr(i*mem.WordSize)
-		m.Inst(3) // loop control and address generation
-		v, fbit := m.UnforwardedRead(s)
-		hops, checked := 0, false
-		for fbit {
-			// Append at the end of the existing forwarding chain.
-			m.Inst(2)
-			hops++
-			if hops > fwd.HopLimit && !checked {
-				// Escalate exactly as the hardware walk does: one
-				// accurate (Floyd) cycle check from the chain start.
-				checked = true
-				if _, _, err := fwd.Resolve(src+mem.Addr(i*mem.WordSize), nil); err != nil {
-					restore()
-					err = fmt.Errorf("opt: relocating %#x word %d: %w", src, i, err)
-					rec.finish(fwd, src, obs.RelocAborted, err)
-					return err
-				}
-			}
-			if hops > fwd.ChainCap {
-				restore()
-				err := fmt.Errorf("opt: relocating %#x word %d: chain exceeds cap %d", src, i, fwd.ChainCap)
-				rec.finish(fwd, src, obs.RelocAborted, err)
-				return err
-			}
-			s = mem.WordAlign(mem.Addr(v))
-			v, fbit = m.UnforwardedRead(s)
+	mv := c.NewMove(m, src, tgt, nWords)
+	for {
+		if done, err := mv.Step(); done {
+			return err
 		}
-		c.write(m, d, v, false)
-		ends = append(ends, s)
-		j.RecordCopy(s)
+	}
+}
+
+// Move is one TryRelocate in progress, held as a value so its caller
+// can run it a word access at a time: the relocator harts of
+// internal/sched interleave their moves with the guest that way, and
+// TryRelocate steps its move straight through.
+type Move struct {
+	c        Context
+	m        app.Machine
+	fwd      *core.Forwarder
+	src, tgt mem.Addr
+	n        int
+
+	j       *fault.Journal // c.Faults' journal; nil without an injector
+	rec     relocSpan
+	restore func() // leaves the write region the current phase armed
+
+	phase   phase
+	i       int      // the word the phase is at
+	at      mem.Addr // word i's chain position
+	v       uint64   // what the last read returned
+	fbit    bool
+	dv      uint64 // copy verification: word i's copy, read back
+	dfb     bool
+	hops    int
+	checked bool  // word i's chain has had its accurate cycle check
+	err     error // the outcome, once done
+
+	// The chain ends of words 0-15, then of the rest. The array is
+	// inline, not a slice into it, so a Move on the stack stays there.
+	ends [16]mem.Addr
+	more []mem.Addr
+}
+
+// phase is where a Move resumes: each but the first and last names the
+// word access the previous Step ended with.
+type phase uint8
+
+const (
+	moveStart      phase = iota
+	moveChain            // read word i's chain position into v, fbit
+	moveCopied           // wrote word i's copy
+	moveCheckCopy        // read word i's copy back into dv, dfb
+	moveCheckEnd         // read word i's chain end back into v
+	movePlanted          // wrote word i's forwarding word
+	moveCheckPlant       // read word i's forwarding word back into v, fbit
+	moveDone
+)
+
+// NewMove returns the move of nWords words from src to tgt on m, in
+// context c. It does no machine work: the first Step runs the barrier.
+func (c Context) NewMove(m app.Machine, src, tgt mem.Addr, nWords int) *Move {
+	mv := &Move{c: c, m: m, src: src, tgt: tgt, n: nWords}
+	if c.Faults != nil {
+		mv.j = &c.Faults.Journal
+	}
+	return mv
+}
+
+// Step runs the move up to and including its next word access on its
+// machine, an UnforwardedRead or an UnforwardedWrite, and reports
+// whether the move has ended, with TryRelocate's error when it has.
+// The step after the last access ends the move and makes none. An
+// injected crash panics out of the step that would have made the
+// access.
+func (mv *Move) Step() (done bool, err error) {
+	m, inj := mv.m, mv.c.Faults
+	switch mv.phase {
+	case moveStart:
+		if mv.c.Barrier != nil {
+			mv.c.Barrier.RelocationBarrier(mv.src)
+		}
+		mv.fwd = m.Forwarder()
+		mv.rec.begin(&mv.c, mv.fwd, mv.src, mv.tgt, mv.n)
+		mv.j.Begin(mv.src, mv.tgt, mv.n)
+		inj.Step(fault.RelocateBegin)
+		// Phase 1: walk each word's chain to its end and copy the value.
+		mv.restore = inj.Region(fault.CopyWrite)
+		return mv.copyWord(0)
+	case moveChain:
+		if !mv.fbit {
+			mv.c.write(m, mv.tgt+wordOff(mv.i), mv.v, false)
+			mv.phase = moveCopied
+			return false, nil
+		}
+		// Append at the end of the existing forwarding chain.
+		m.Inst(2)
+		mv.hops++
+		fwd := mv.fwd
+		if mv.hops > fwd.HopLimit && !mv.checked {
+			// Escalate exactly as the hardware walk does: one accurate
+			// (Floyd) cycle check from the chain start.
+			mv.checked = true
+			if _, _, err := fwd.Resolve(mv.src+wordOff(mv.i), nil); err != nil {
+				mv.restore()
+				return mv.finish(obs.RelocAborted, fmt.Errorf("opt: relocating %#x word %d: %w", mv.src, mv.i, err))
+			}
+		}
+		if mv.hops > fwd.ChainCap {
+			mv.restore()
+			return mv.finish(obs.RelocAborted, fmt.Errorf("opt: relocating %#x word %d: chain exceeds cap %d", mv.src, mv.i, fwd.ChainCap))
+		}
+		mv.at = mem.WordAlign(mem.Addr(mv.v))
+		mv.v, mv.fbit = m.UnforwardedRead(mv.at)
+		return false, nil
+	case moveCopied:
+		if mv.i < len(mv.ends) {
+			mv.ends[mv.i] = mv.at
+		} else {
+			if mv.more == nil {
+				mv.more = make([]mem.Addr, 0, mv.n-len(mv.ends))
+			}
+			mv.more = append(mv.more, mv.at)
+		}
+		mv.j.RecordCopy(mv.at)
 		inj.Step(fault.RelocateCopied)
-	}
-	restore()
-	rec.copyDone()
-
-	// Copy verification, only under fault injection: re-read every copy
-	// against its still-authoritative chain end, so a corrupted copy is
-	// caught while the reachable heap is still untouched.
-	if inj != nil {
-		for i, e := range ends {
-			d := tgt + mem.Addr(i*mem.WordSize)
-			dv, dfb := m.UnforwardedRead(d)
-			ev, _ := m.UnforwardedRead(e)
-			if dfb || dv != ev {
-				err := fmt.Errorf("%w: copy of word %d (%#x -> %#x)", ErrTorn, i, e, d)
-				rec.finish(fwd, src, obs.RelocTorn, err)
-				return err
-			}
+		return mv.copyWord(mv.i + 1)
+	case moveCheckCopy:
+		mv.v, _ = m.UnforwardedRead(mv.end(mv.i))
+		mv.phase = moveCheckEnd
+		return false, nil
+	case moveCheckEnd:
+		if mv.dfb || mv.dv != mv.v {
+			return mv.finish(obs.RelocTorn, fmt.Errorf("%w: copy of word %d (%#x -> %#x)", ErrTorn, mv.i, mv.end(mv.i), mv.tgt+wordOff(mv.i)))
 		}
-		inj.Step(fault.RelocateVerify)
-		rec.verifyDone()
+		return mv.checkCopy(mv.i + 1)
+	case movePlanted:
+		if inj != nil {
+			// Plant verification: corruption after this point is no
+			// longer caught by the copy check, so read the plant back.
+			mv.v, mv.fbit = m.UnforwardedRead(mv.end(mv.i))
+			mv.phase = moveCheckPlant
+			return false, nil
+		}
+		return mv.plant(mv.i + 1)
+	case moveCheckPlant:
+		if e := mv.end(mv.i); !mv.fbit || mem.Addr(mv.v) != mv.tgt+wordOff(mv.i) {
+			mv.restore()
+			return mv.finish(obs.RelocTorn, fmt.Errorf("%w: plant of word %d at %#x", ErrTorn, mv.i, e))
+		}
+		inj.Step(fault.RelocatePlant)
+		return mv.plant(mv.i + 1)
 	}
+	return true, mv.err
+}
 
-	// Phase 2: plant the forwarding words, each one atomic.
-	restore = inj.Region(fault.PlantWrite)
-	for i, e := range ends {
-		d := tgt + mem.Addr(i*mem.WordSize)
-		m.Inst(1)
+// copyWord reads word i's chain start, or ends the copy phase after the
+// last word.
+func (mv *Move) copyWord(i int) (bool, error) {
+	mv.i = i
+	if i < mv.n {
+		mv.m.Inst(3) // loop control and address generation
+		mv.at = mv.src + wordOff(i)
+		mv.v, mv.fbit = mv.m.UnforwardedRead(mv.at)
+		mv.hops, mv.checked = 0, false
+		mv.phase = moveChain
+		return false, nil
+	}
+	mv.restore()
+	mv.rec.stamp(&mv.rec.tCopy)
+	if mv.c.Faults != nil {
+		// Copy verification, only under fault injection: re-read every
+		// copy against its still-authoritative chain end, so a corrupted
+		// copy is caught while the reachable heap is still untouched.
+		return mv.checkCopy(0)
+	}
+	return mv.plantPhase()
+}
+
+// checkCopy reads word i's copy back, or ends copy verification after
+// the last word.
+func (mv *Move) checkCopy(i int) (bool, error) {
+	mv.i = i
+	if i < mv.n {
+		mv.dv, mv.dfb = mv.m.UnforwardedRead(mv.tgt + wordOff(i))
+		mv.phase = moveCheckCopy
+		return false, nil
+	}
+	mv.c.Faults.Step(fault.RelocateVerify)
+	mv.rec.stamp(&mv.rec.tVerify)
+	return mv.plantPhase()
+}
+
+// plantPhase starts phase 2: plant the forwarding words, each atomic.
+func (mv *Move) plantPhase() (bool, error) {
+	mv.restore = mv.c.Faults.Region(fault.PlantWrite)
+	return mv.plant(0)
+}
+
+// plant plants word i's forwarding word, or the next word's whose chain
+// end does not already forward, or ends the move after the last word.
+func (mv *Move) plant(i int) (bool, error) {
+	fwd := mv.fwd
+	for ; i < mv.n; i++ {
+		e, d := mv.end(i), mv.tgt+wordOff(i)
+		mv.m.Inst(1)
 		// Refresh the copy against the chain end's current value: under
 		// concurrent mutators a guest store may have legally landed on e
 		// since the copy phase read it. The reads and the fix-up write
@@ -265,29 +394,35 @@ func (c Context) TryRelocate(m app.Machine, src, tgt mem.Addr, nWords int) error
 		if dv, _ := fwd.UnforwardedRead(d); dv != cur {
 			fwd.UnforwardedWrite(d, cur, false)
 		}
-		c.write(m, e, uint64(d), true)
-		if inj != nil {
-			// Plant verification: corruption after this point is no
-			// longer caught by the copy check, so read the plant back.
-			ev, efb := m.UnforwardedRead(e)
-			if !efb || mem.Addr(ev) != d {
-				restore()
-				err := fmt.Errorf("%w: plant of word %d at %#x", ErrTorn, i, e)
-				rec.finish(fwd, src, obs.RelocTorn, err)
-				return err
-			}
-		}
-		inj.Step(fault.RelocatePlant)
+		mv.c.write(mv.m, e, uint64(d), true)
+		mv.i = i
+		mv.phase = movePlanted
+		return false, nil
 	}
-	restore()
-	rec.plantDone()
-
-	inj.Step(fault.RelocateEnd)
-	j.Commit()
-	m.TraceRelocate(src, tgt, nWords)
-	rec.finish(fwd, src, obs.RelocCommitted, nil)
-	return nil
+	mv.restore()
+	mv.rec.stamp(&mv.rec.tPlant)
+	mv.c.Faults.Step(fault.RelocateEnd)
+	mv.j.Commit()
+	mv.m.TraceRelocate(mv.src, mv.tgt, mv.n)
+	return mv.finish(obs.RelocCommitted, nil)
 }
+
+// finish ends the move with its outcome and records its span.
+func (mv *Move) finish(outcome obs.RelocOutcome, err error) (bool, error) {
+	mv.rec.finish(mv.fwd, mv.src, outcome, err)
+	mv.phase, mv.err = moveDone, err
+	return true, err
+}
+
+// end returns word i's chain end.
+func (mv *Move) end(i int) mem.Addr {
+	if i < len(mv.ends) {
+		return mv.ends[i]
+	}
+	return mv.more[i-len(mv.ends)]
+}
+
+func wordOff(i int) mem.Addr { return mem.Addr(i * mem.WordSize) }
 
 // write is one of the move's own copy or plant writes, through a
 // private injector's write faults: a crash fires before the write

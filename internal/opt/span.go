@@ -13,27 +13,27 @@ import (
 	"memfwd/internal/obs"
 )
 
-// relocSpan accumulates one in-flight TryRelocate span. A nil receiver
-// is a record-nothing no-op, so the instrumentation sites in
-// TryRelocate stay unconditional.
+// relocSpan accumulates one in-flight TryRelocate span. One with no
+// table records nothing, so the instrumentation sites in Move stay
+// unconditional.
 type relocSpan struct {
-	st   *obs.SpanTable
-	now  func() int64
-	inj  *fault.Injector
-	base int // len(inj.Shots) when the span opened
+	st    *obs.SpanTable
+	clock interface{ Now() int64 }
+	inj   *fault.Injector
+	base  int // len(inj.Shots) when the span opened
 
 	span                   obs.RelocationSpan
 	tCopy, tVerify, tPlant int64 // completion stamps; -1 = not reached
 }
 
-// beginSpan opens a span if (and only if) c carries a span table. The
+// begin opens a span if (and only if) c carries a span table. The
 // chain-length probe uses hook-free direct reads, so it perturbs
 // neither timing nor fault-injector visit counts.
-func beginSpan(c *Context, fwd *core.Forwarder, src, tgt mem.Addr, nWords int) *relocSpan {
+func (r *relocSpan) begin(c *Context, fwd *core.Forwarder, src, tgt mem.Addr, nWords int) {
 	if c.Spans == nil {
-		return nil
+		return
 	}
-	r := &relocSpan{st: c.Spans, now: c.Clock.Now, inj: c.Faults, tCopy: -1, tVerify: -1, tPlant: -1}
+	*r = relocSpan{st: c.Spans, clock: c.Clock, inj: c.Faults, tCopy: -1, tVerify: -1, tPlant: -1}
 	if c.Faults != nil {
 		r.base = len(c.Faults.Shots)
 	}
@@ -46,24 +46,12 @@ func beginSpan(c *Context, fwd *core.Forwarder, src, tgt mem.Addr, nWords int) *
 		ChainAfter:  -1,
 		Begin:       c.Clock.Now(),
 	}
-	return r
 }
 
-func (r *relocSpan) copyDone() {
-	if r != nil {
-		r.tCopy = r.now()
-	}
-}
-
-func (r *relocSpan) verifyDone() {
-	if r != nil {
-		r.tVerify = r.now()
-	}
-}
-
-func (r *relocSpan) plantDone() {
-	if r != nil {
-		r.tPlant = r.now()
+// stamp sets t, one of r's completion stamps, to now.
+func (r *relocSpan) stamp(t *int64) {
+	if r.st != nil {
+		*t = r.clock.Now()
 	}
 }
 
@@ -73,11 +61,11 @@ func (r *relocSpan) plantDone() {
 // panics unwind past finish entirely — a crashed relocation records no
 // span, mirroring a real process death.
 func (r *relocSpan) finish(fwd *core.Forwarder, src mem.Addr, outcome obs.RelocOutcome, err error) {
-	if r == nil {
+	if r.st == nil {
 		return
 	}
 	s := &r.span
-	s.TotalCycles = r.now() - s.Begin
+	s.TotalCycles = r.clock.Now() - s.Begin
 	s.CopyCycles, s.VerifyCycles, s.PlantCycles = -1, -1, -1
 	last := s.Begin
 	if r.tCopy >= 0 {

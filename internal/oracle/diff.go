@@ -147,7 +147,6 @@ func ChaosEpisode(a app.App, cfg app.Config, ch ChaosConfig) (*Relocator, error)
 		if ch.Faults {
 			grp.EnableFaults()
 		}
-		defer grp.Close()
 		inner = grp
 	}
 	rel := NewRelocator(inner, ch.Seed, ch.Interval)

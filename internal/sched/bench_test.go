@@ -19,7 +19,6 @@ func BenchmarkGroupTransparent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer g.Close()
 	a := g.Malloc(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,7 +38,6 @@ func BenchmarkGroupPoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer g.Close()
 	a := g.Malloc(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,7 +75,6 @@ func BenchmarkGroupContendedRun(b *testing.B) {
 		if g.Stats().Relocations == 0 {
 			b.Fatal("no relocations committed; benchmark is vacuous")
 		}
-		g.Close()
 		_ = sink
 	}
 }

@@ -40,7 +40,7 @@ func (g *Group) Malloc(n uint64) mem.Addr {
 	// space, wiping the job's half-planted forwarding words): fail at
 	// the cause, not at the eventual digest mismatch.
 	for _, h := range g.harts {
-		if h.job != nil && !h.dead && h.job.src >= a && h.job.src < a+mem.Addr(n) {
+		if h.job != nil && h.job.src >= a && h.job.src < a+mem.Addr(n) {
 			panic(fmt.Sprintf("sched: malloc %#x+%#x overlaps in-flight relocation of %#x", a, n, h.job.src))
 		}
 	}
@@ -65,7 +65,7 @@ func (g *Group) Free(a mem.Addr) {
 	g.point()
 	if !g.inService {
 		for _, h := range g.harts {
-			if h.job != nil && !h.dead && g.sameObject(h.job.src, a) {
+			if h.job != nil && g.sameObject(h.job.src, a) {
 				g.drain(h)
 			}
 		}

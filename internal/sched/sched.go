@@ -4,13 +4,14 @@
 // and replayable from a seed.
 //
 // A Group wraps an app.Machine through app.Interceptor, hooking only
-// the guest's data operations, and owns P-1 relocator harts, each a
-// coroutine driving the production two-phase commit (opt.TryRelocate)
+// the guest's data operations, and owns P-1 relocator harts, each
+// running its job as an opt.Move — the production two-phase commit —
 // against the shared tagged memory. At every intercepted guest
 // operation the Group may launch a new relocation job and grants a
-// seeded number of single-word steps to in-flight jobs; each step runs
-// one word access of a relocation, bracketed by sim.SetHart so its
-// timing lands on the relocator hart's private pipeline and caches.
+// seeded number of single-word steps to in-flight jobs; each step is
+// one Move.Step, one word access of a relocation, bracketed by
+// sim.SetHart so its timing lands on the relocator hart's private
+// pipeline and caches.
 // The guest's loads and stores therefore genuinely race the copy and
 // plant phases, with the forwarding word as the read barrier — the
 // paper's central safety claim, exercised for real.
@@ -102,7 +103,6 @@ type Group struct {
 	faults    bool
 	forced    *fault.Shot // InjectNext's pending plan
 	inService bool
-	closed    bool
 
 	stats Stats
 }
@@ -138,7 +138,7 @@ func New(inner app.Machine, cfg Config) (*Group, error) {
 	g.ctx = opt.NewContext(inner)
 	g.ctx.Barrier = nil
 	for i := 1; i < cfg.Harts; i++ {
-		g.harts = append(g.harts, newHart(g, i))
+		g.harts = append(g.harts, &hart{id: i})
 	}
 	return g, nil
 }
@@ -186,24 +186,56 @@ func (g *Group) point() {
 	}
 }
 
-// svcStep grants one coroutine step as the hart's identity: the step's
-// timing lands on that hart's pipeline and caches, and the machine is
-// restored to the guest hart afterwards (also on a propagated panic,
-// so failure reports read coherent state).
+// job is one relocation assigned to a relocator hart: the production
+// two-phase commit of src into tgt as an opt.Move, optionally with a
+// private fault injector armed. The injector, and the journal it
+// carries, go into the move's relocation context only; the machine's
+// injector slot never sees them.
+type job struct {
+	mv       *opt.Move
+	src, tgt mem.Addr
+	words    int
+	inj      *fault.Injector
+	plan     fault.Shot // the armed fault, for failure reports
+}
+
+// hart is one relocator hart and the job it runs, if any.
+type hart struct {
+	id  int // hart id on the machine (1..P-1; hart 0 is the guest)
+	job *job
+}
+
+// svcStep grants hart h one step of its job as the hart's identity:
+// the step's timing lands on that hart's pipeline and caches, and the
+// machine is restored to the guest hart afterwards (also on a panic,
+// so failure reports read coherent state). Only the code of one step
+// is atomic with respect to the guest. The step that ends the move
+// also finishes the job.
 func (g *Group) svcStep(h *hart) {
 	if g.hs != nil {
 		g.hs.SetHart(h.id)
 		defer g.hs.SetHart(g.guestHart)
 	}
 	g.stats.Steps++
-	h.step()
+	jb := h.job
+	if done, err := jb.step(); done || err != nil {
+		h.job = nil
+		g.finish(h.id, jb, err)
+	}
+}
+
+// step runs the job's next move step. A crash ends the move: it comes
+// back as err, with done unset.
+func (jb *job) step() (done bool, err error) {
+	defer fault.RecoverCrash(&err)
+	return jb.mv.Step()
 }
 
 // pickBusy draws a random hart with a job in flight (nil when idle).
 func (g *Group) pickBusy() *hart {
 	n := 0
 	for _, h := range g.harts {
-		if h.job != nil && !h.dead {
+		if h.job != nil {
 			n++
 		}
 	}
@@ -212,7 +244,7 @@ func (g *Group) pickBusy() *hart {
 	}
 	k := g.rng.Intn(n)
 	for _, h := range g.harts {
-		if h.job != nil && !h.dead {
+		if h.job != nil {
 			if k == 0 {
 				return h
 			}
@@ -241,7 +273,7 @@ func (g *Group) launch() {
 	var idle *hart
 	nIdle := 0
 	for _, h := range g.harts {
-		if h.job == nil && !h.dead {
+		if h.job == nil {
 			nIdle++
 		}
 	}
@@ -250,7 +282,7 @@ func (g *Group) launch() {
 	}
 	k := g.rng.Intn(nIdle)
 	for _, h := range g.harts {
-		if h.job == nil && !h.dead {
+		if h.job == nil {
 			if k == 0 {
 				idle = h
 				break
@@ -284,6 +316,9 @@ func (g *Group) launch() {
 		jb.inj = fault.New(int64(g.rng.next()>>1)).Arm(jb.plan.Kind, jb.plan.Point, jb.plan.Visit)
 		g.stats.Faulted++
 	}
+	ctx := g.ctx
+	ctx.Hart, ctx.Faults, ctx.Private = idle.id, jb.inj, jb.inj != nil
+	jb.mv = ctx.NewMove(g.Machine, base, tgt, words)
 	idle.job = jb
 }
 
@@ -297,20 +332,14 @@ func (g *Group) busyOn(base mem.Addr) bool {
 	return false
 }
 
-// runJob executes one job inside a hart coroutine: agent.Relocate
-// through the yield-instrumented machine view, in a context labelled
-// with the hart and holding the job's injector, interleaved with the
-// guest (only the code between two yields is atomic), then a
-// structural post-check. The roll-forward of a crashed job runs on raw
-// memory without yields — the stop-the-world recovery pass of
-// DESIGN.md §8.
-func (g *Group) runJob(h *hart) {
-	jb := h.job
-	ctx := g.ctx
-	ctx.Hart, ctx.Faults, ctx.Private = h.id, jb.inj, jb.inj != nil
-	repaired, err := agent.Relocate(&hartMachine{Machine: g.Machine, h: h}, ctx, jb.src, jb.tgt, jb.words)
+// finish ends hart id's job, whose move ended with err: a crashed or
+// torn move is rolled forward from the job's journal on raw memory —
+// the stop-the-world recovery pass of DESIGN.md §8 — then a structural
+// post-check runs.
+func (g *Group) finish(id int, jb *job, err error) {
+	repaired, err := agent.RollForward(g.Machine, jb.inj, jb.src, err)
 	if err != nil {
-		panic(fmt.Sprintf("sched: relocation of %#x (%d words): %v", jb.src, jb.words, err))
+		panic(fmt.Sprintf("sched: hart %d: relocation of %#x (%d words): %v", id, jb.src, jb.words, err))
 	}
 	if jb.inj.Fired() {
 		g.stats.Crashes++
@@ -318,12 +347,12 @@ func (g *Group) runJob(h *hart) {
 	if repaired {
 		g.stats.Scavenges++
 	}
-	// The check is untimed and yield-free: racing mutator stores
-	// legally change *values*, which the surrounding differential
-	// harness checks end to end.
+	// The check is untimed: racing mutator stores legally change
+	// *values*, which the surrounding differential harness checks end
+	// to end.
 	if err := agent.CheckMoved(g.Machine.Forwarder(), jb.src, jb.tgt, jb.words); err != nil {
-		panic(fmt.Sprintf("sched: post-job %v (job %#x->%#x %dw, fault %v fired=%v repaired=%v)",
-			err, jb.src, jb.tgt, jb.words, jb.plan, jb.inj.Fired(), repaired))
+		panic(fmt.Sprintf("sched: hart %d: post-job %v (job %#x->%#x %dw, fault %v fired=%v repaired=%v)",
+			id, err, jb.src, jb.tgt, jb.words, jb.plan, jb.inj.Fired(), repaired))
 	}
 	g.stats.Relocations++
 }
@@ -343,7 +372,7 @@ func (g *Group) RelocationBarrier(src mem.Addr) {
 	g.inService = true
 	defer func() { g.inService = false }()
 	for _, h := range g.harts {
-		if h.job != nil && !h.dead && g.sameObject(h.job.src, src) {
+		if h.job != nil && g.sameObject(h.job.src, src) {
 			g.drain(h)
 		}
 	}
@@ -389,7 +418,7 @@ func (g *Group) sameObject(a, b mem.Addr) bool {
 // drain drives one hart's in-flight job to completion.
 func (g *Group) drain(h *hart) {
 	g.stats.Drains++
-	for h.job != nil && !h.dead {
+	for h.job != nil {
 		g.svcStep(h)
 	}
 }
@@ -405,23 +434,9 @@ func (g *Group) Quiesce() {
 	g.inService = true
 	defer func() { g.inService = false }()
 	for _, h := range g.harts {
-		for h.job != nil && !h.dead {
+		for h.job != nil {
 			g.svcStep(h)
 		}
-	}
-}
-
-// Close terminates the hart coroutines. In-flight jobs are abandoned
-// mid-relocation (call Quiesce first if the machine is used again);
-// Close is terminal and idempotent.
-func (g *Group) Close() {
-	if g.closed {
-		return
-	}
-	g.closed = true
-	for _, h := range g.harts {
-		h.quit = true
-		h.step()
 	}
 }
 

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"memfwd/internal/apps/app"
@@ -177,17 +178,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := sched.New(m, sched.Config{Harts: 4, Seed: 1}); err == nil {
 		t.Error("New(harts=4) accepted a 2-hart machine")
 	}
-	g, err := sched.New(m, sched.Config{Harts: 2, Seed: 1})
-	if err != nil {
+	if _, err := sched.New(m, sched.Config{Harts: 2, Seed: 1}); err != nil {
 		t.Fatalf("New(harts=2) on a 2-hart machine: %v", err)
 	}
-	g.Close()
 	// The functional oracle has no per-hart timing, so any count works.
-	g2, err := sched.New(oracle.New(oracle.Config{}), sched.Config{Harts: 8, Seed: 1})
-	if err != nil {
+	if _, err := sched.New(oracle.New(oracle.Config{}), sched.Config{Harts: 8, Seed: 1}); err != nil {
 		t.Fatalf("New(harts=8) on the oracle: %v", err)
 	}
-	g2.Close()
 }
 
 // TestTransparentAtOneHart: a 1-hart group schedules nothing and is a
@@ -201,7 +198,6 @@ func TestTransparentAtOneHart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	w := newWorkload(t, seed)
 	w.run(g, ops)
 	g.Quiesce()
@@ -247,7 +243,6 @@ func TestConcurrentRelocationSafety(t *testing.T) {
 			if st.Relocations == 0 {
 				t.Errorf("harts=%d seed=%d: no concurrent relocations committed; test is vacuous", harts, schedSeed)
 			}
-			g.Close()
 		}
 	}
 }
@@ -268,7 +263,6 @@ func TestScheduleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer g.Close()
 		w := newWorkload(t, seed)
 		w.run(g, ops)
 		g.Quiesce()
@@ -303,7 +297,6 @@ func TestDifferentialUnderSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer g.Close()
 		w := newWorkload(t, seed)
 		w.run(g, ops)
 		g.Quiesce()
@@ -392,7 +385,6 @@ func TestCrashConsistencyUnderContention(t *testing.T) {
 				}
 				crashes += st.Crashes
 				scavenges += st.Scavenges
-				g.Close()
 			}
 		}
 		// Individual (point, visit) pairs may legitimately never fire
@@ -441,7 +433,6 @@ func TestRandomFaultedSchedule(t *testing.T) {
 			t.Errorf("seed=%d: forwarding invariants: %v", schedSeed, err)
 		}
 		crashes += g.Stats().Crashes
-		g.Close()
 	}
 	if crashes == 0 {
 		t.Error("no crashes fired across six faulted seeds; test is vacuous")
@@ -462,7 +453,6 @@ func TestSnapshotRestoreMidSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g1.Close()
 	newWorkload(t, 42).run(g1, 3000)
 	g1.Quiesce()
 	st := m1.SaveState()
@@ -487,7 +477,6 @@ func TestFreeDrainsConflictingJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	for i := 0; i < 400; i++ {
 		b := g.Malloc(8 * 8)
 		for j := 0; j < 8; j++ {
@@ -503,5 +492,25 @@ func TestFreeDrainsConflictingJob(t *testing.T) {
 	g.Quiesce()
 	if err := oracle.CheckForwarding(om.Mem, om.Fwd); err != nil {
 		t.Errorf("forwarding invariants: %v", err)
+	}
+}
+
+// TestGroupStartsNoGoroutine: a relocator hart is its id and its job's
+// move, which the group steps itself, so a contended harts=4 run adds
+// no goroutine. Only growth counts: the goroutine that ran the previous
+// test may still be exiting when the first count is taken.
+func TestGroupStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g, err := sched.New(sim.New(sim.Config{Harts: 4}), sched.Config{Harts: 4, Seed: 1, Interval: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newWorkload(t, 8).run(g, 3000)
+	g.Quiesce()
+	if g.Stats().Relocations == 0 {
+		t.Fatal("no relocations committed; test is vacuous")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after the run, %d before", after, before)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"testing"
 
@@ -98,8 +99,12 @@ func benchPost(sv *Server, sessionID string, req opRequest, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("op: %s", resp.Status)
 	}
-	if out == nil {
-		return nil
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return err
+		}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read the body to EOF, so the client can reuse the connection.
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }

@@ -248,9 +248,9 @@ func (s *Session) withMachine(fn func(m *sim.Machine) error) error {
 		s.g.pause()
 		defer s.g.resume()
 		if s.grp != nil {
-			// In-flight relocation jobs hold coroutine stacks the machine
-			// state cannot capture; drive them to completion (which also
-			// parks the machine on the guest hart) before fn sees it.
+			// In-flight relocation jobs are moves the machine state
+			// cannot capture; drive them to completion (which also parks
+			// the machine on the guest hart) before fn sees it.
 			s.grp.Quiesce()
 		}
 		return fn(s.px.machine())
@@ -352,9 +352,6 @@ func (s *Session) close() {
 	if s.g != nil {
 		s.g.kill()
 		<-s.runnerDone
-		if s.grp != nil {
-			s.grp.Close()
-		}
 	}
 	s.tr.Close() //nolint:errcheck // flush into a NoClose hub cannot fail
 	s.hub.Close()

@@ -168,7 +168,6 @@ func FuzzMachineOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sg.Close()
 		sg.EnableFaults()
 		sgTrace := interpret(sg, prog)
 		sg.Quiesce()
@@ -179,7 +178,6 @@ func FuzzMachineOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer og.Close()
 		og.EnableFaults()
 		ogTrace := interpret(og, prog)
 		og.Quiesce()

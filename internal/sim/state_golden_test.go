@@ -38,7 +38,6 @@ func TestEncodeStateGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer g.Close()
 					a.Run(g, cfg)
 					g.Quiesce()
 				}

@@ -63,7 +63,6 @@ func TestScheduleSweep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer g.Close()
 					res := a.Run(g, cfg)
 					g.Quiesce()
 					m.Finalize()
