@@ -6,10 +6,11 @@
 package addrtab
 
 // Table maps uint64 keys below 1<<64-1 to values by open addressing:
-// linear probing from a Fibonacci hash, doubling past 3/4 load. A
-// linear-probe table cannot delete in place without breaking probe
-// chains, so Filter drops entries in bulk and rehashes the survivors.
-// Build one with New. Len, Cap, Get, Each and Clone only read it.
+// linear probing from a Fibonacci hash, doubling past 3/4 load. Delete
+// closes the hole it leaves by shifting later entries of the probe run
+// back, so the table holds no tombstones; Filter drops entries in bulk
+// and rehashes the survivors. Build one with New. Len, Cap, Get, Each
+// and Clone only read it.
 type Table[V any] struct {
 	slots   []slot[V]
 	scratch []slot[V] // Filter's survivors, reused so sweeps allocate nothing
@@ -62,6 +63,21 @@ func (t *Table[V]) Get(k uint64) (V, bool) {
 	}
 }
 
+// Ref returns a pointer to the value stored under k, or nil, for an
+// update in place. The pointer is valid until the next Put, Delete or
+// Filter.
+func (t *Table[V]) Ref(k uint64) *V {
+	for i := t.idx(k); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.key == 0 {
+			return nil
+		}
+		if s.key == k+1 {
+			return &s.val
+		}
+	}
+}
+
 // Put inserts or overwrites the value under k.
 func (t *Table[V]) Put(k uint64, v V) {
 	if 4*(t.n+1) > 3*len(t.slots) {
@@ -85,6 +101,28 @@ func (t *Table[V]) Put(k uint64, v V) {
 			return
 		}
 	}
+}
+
+// Delete removes the entry under k and reports whether there was one.
+// Each later entry of the probe run moves back into the hole unless
+// its home slot lies cyclically after the hole, so every remaining key
+// stays reachable from its home slot.
+func (t *Table[V]) Delete(k uint64) bool {
+	i := t.idx(k)
+	for ; t.slots[i].key != k+1; i = (i + 1) & t.mask {
+		if t.slots[i].key == 0 {
+			return false
+		}
+	}
+	for j := (i + 1) & t.mask; t.slots[j].key != 0; j = (j + 1) & t.mask {
+		if home := t.idx(t.slots[j].key - 1); (j-home)&t.mask >= (j-i)&t.mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = slot[V]{}
+	t.n--
+	return true
 }
 
 // Filter deletes every entry keep rejects, rehashing the survivors.

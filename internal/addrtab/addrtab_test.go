@@ -57,6 +57,95 @@ func TestTableProbingAndGrow(t *testing.T) {
 	}
 }
 
+// homeOf returns the first n keys from start whose home slot in tb is
+// slot.
+func homeOf(tb *Table[entry], slot uint64, start uint64, n int) []uint64 {
+	var out []uint64
+	for k := start; len(out) < n; k++ {
+		if tb.idx(k) == slot {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestTableDeleteWrapsAndGrows: a probe run that wraps past the last
+// slot closes up when its first entry is deleted — entries homed at the
+// last slot move back across the wrap, an entry homed at slot 0 moves
+// only as far as its home — and the table then regrows intact.
+func TestTableDeleteWrapsAndGrows(t *testing.T) {
+	tb := New[entry](4) // 8 slots
+	last := uint64(tb.Cap() - 1)
+	tail := homeOf(&tb, last, 1, 3) // run: slots 7, 0, ...
+	head := homeOf(&tb, 0, 1, 1)[0] // homed at slot 0, displaced
+	keys := []uint64{tail[0], tail[1], head, tail[2]}
+	for i, k := range keys {
+		tb.Put(k, entry{base: k, ready: int64(i)})
+	}
+	if !tb.Delete(tail[0]) || tb.Delete(tail[0]) {
+		t.Fatal("Delete of a present key must report true once, then false")
+	}
+	if tb.Len() != 3 {
+		t.Fatalf("Len = %d after delete, want 3", tb.Len())
+	}
+	want := map[uint64]bool{tail[1]: true, head: true, tail[2]: true}
+	tb.Each(func(k uint64, e entry) {
+		if !want[k] || e.base != k {
+			t.Fatalf("Each visited (%d, %+v)", k, e)
+		}
+		delete(want, k)
+	})
+	if len(want) != 0 {
+		t.Fatalf("Each missed %v", want)
+	}
+	if s := tb.slots[last]; s.key != tail[1]+1 {
+		t.Fatalf("slot %d holds key %d, want %d moved back across the wrap", last, s.key-1, tail[1])
+	}
+	if s := tb.slots[0]; s.key != head+1 {
+		t.Fatalf("slot 0 holds key %d, want %d (its home)", s.key-1, head)
+	}
+	for i := uint64(100); i < 200; i++ {
+		tb.Put(i, entry{base: i})
+		if i%3 == 0 {
+			tb.Delete(i)
+		}
+	}
+	for _, k := range []uint64{tail[1], head, tail[2]} {
+		if e, ok := tb.Get(k); !ok || e.base != k {
+			t.Fatalf("Get(%d) after growth = (%+v,%v)", k, e, ok)
+		}
+	}
+	for i := uint64(100); i < 200; i++ {
+		if _, ok := tb.Get(i); ok != (i%3 != 0) {
+			t.Fatalf("Get(%d) after growth = %v", i, ok)
+		}
+	}
+	if tb.Len() != 3+67 {
+		t.Fatalf("Len = %d, want %d", tb.Len(), 3+67)
+	}
+}
+
+// TestTableDeleteRefAllocFree: deleting, and updating in place through
+// Ref, allocate nothing.
+func TestTableDeleteRefAllocFree(t *testing.T) {
+	tb := New[entry](64)
+	for i := uint64(0); i < 48; i++ {
+		tb.Put(i, entry{base: i})
+	}
+	k := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		tb.Delete(k % 48)
+		tb.Put(k%48, entry{base: k})
+		if r := tb.Ref((k + 1) % 48); r != nil {
+			r.ready++
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("Delete/Put/Ref allocated %.1f times per run", allocs)
+	}
+}
+
 func TestTableFilter(t *testing.T) {
 	tb := New[entry](16)
 	for i := uint64(0); i < 20; i++ {

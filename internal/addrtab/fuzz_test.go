@@ -2,19 +2,23 @@ package addrtab
 
 import "testing"
 
-// FuzzTable runs byte programs of put, overwrite, filter, clone and get
-// over a growing set of tables and checks every table after every step
-// against a Go-map model: Len, Get of every model key, and an Each that
-// visits every key exactly once with its value. A clone joins the set
-// with a copy of its source's model, so a clone that shared a slot with
-// its source diverges from one of the two models at the next write.
+// FuzzTable runs byte programs of put, overwrite, delete, in-place
+// update, filter, clone and get over a growing set of tables and checks
+// every table after every step against a Go-map model: Len, Get of
+// every model key, and an Each that visits every key exactly once with
+// its value. A clone joins the set with a copy of its source's model,
+// so a clone that shared a slot with its source diverges from one of
+// the two models at the next write.
 //
 // Each 3-byte instruction (op, x, y) acts on table x mod the set size.
 // Keys are y shifted by x, or counted down from the largest legal key,
 // so programs hit probe collisions, overwrites and both ends of the key
-// range. A program runs at most maxSteps instructions: the per-step
-// check is linear in the tables' size, so longer programs would cost
-// quadratic time without reaching table states shorter ones cannot.
+// range; on a small table, runs of colliding keys wrap around the slot
+// array, so a delete's backward shift crosses the wrap, and puts after
+// deletes regrow it. A program runs at most maxSteps instructions: the
+// per-step check is linear in the tables' size, so longer programs
+// would cost quadratic time without reaching table states shorter ones
+// cannot.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 1, 0, 1, 2, 0, 1, 4, 0, 0, 0, 1, 9, 3, 0, 2, 2, 1, 1})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 7, 0, 3, 0, 3, 4, 0, 0, 0, 9, 9})
@@ -24,6 +28,11 @@ func FuzzTable(f *testing.F) {
 		fill = append(fill, 0, 0, y)
 	}
 	f.Add(append(fill, 3, 0, 0, 0, 0, 5, 3, 0, 1)) // every entry filtered out, then refill
+	drain := append([]byte{}, fill...)
+	for y := byte(1); y <= 24; y += 2 {
+		drain = append(drain, 5, 0, y, 6, 0, y+1)
+	}
+	f.Add(append(drain, fill...)) // delete every other entry, update the rest, regrow
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		type subject struct {
 			tab   Table[uint64]
@@ -45,7 +54,7 @@ func FuzzTable(f *testing.F) {
 			if x&0x80 != 0 {
 				key = ^uint64(0) - 1 - uint64(y)
 			}
-			switch op % 5 {
+			switch op % 7 {
 			case 0, 1:
 				v := uint64(pc)<<8 | uint64(y)
 				s.tab.Put(key, v)
@@ -63,6 +72,21 @@ func FuzzTable(f *testing.F) {
 					if !keep(k, v) {
 						delete(s.model, k)
 					}
+				}
+			case 5:
+				_, want := s.model[key]
+				if got := s.tab.Delete(key); got != want {
+					t.Fatalf("pc %d: Delete(%#x) = %v, want %v", pc, key, got, want)
+				}
+				delete(s.model, key)
+			case 6:
+				r := s.tab.Ref(key)
+				if _, ok := s.model[key]; ok != (r != nil) {
+					t.Fatalf("pc %d: Ref(%#x) = %p, model has it: %v", pc, key, r, ok)
+				}
+				if r != nil {
+					*r += uint64(pc) << 32
+					s.model[key] = *r
 				}
 			case 4:
 				if len(set) < 4 {

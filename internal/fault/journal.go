@@ -162,19 +162,12 @@ func Scavenge(mm *mem.Memory, fwd *core.Forwarder, j *Journal, inj *Injector) (R
 		rep.RolledForward = true
 	}
 
-	for _, pb := range mm.TouchedPages() {
-		for w := 0; w < mem.PageWords; w++ {
-			wa := pb + mem.Addr(w*mem.WordSize)
-			if !mm.FBit(wa) {
-				continue
-			}
-			tgt := mem.Addr(mm.ReadWord(wa))
-			if tgt == 0 || !mm.Touched(mem.WordAlign(tgt)) {
-				mm.WriteWordFBit(wa, uint64(tgt), false)
-				rep.ClearedFBits++
-			}
+	mm.EachFBit(func(wa mem.Addr, v uint64) {
+		if tgt := mem.Addr(v); tgt == 0 || !mm.Touched(mem.WordAlign(tgt)) {
+			mm.WriteWordFBit(wa, v, false)
+			rep.ClearedFBits++
 		}
-	}
+	})
 	return rep, nil
 }
 

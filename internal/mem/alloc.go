@@ -67,6 +67,15 @@ type Allocator struct {
 	// relocation targets. Returning 0 means "no opinion": the block goes
 	// on the heap as usual.
 	Place func(size uint64) Addr
+
+	// Track, when non-nil, is told the base of every block born (live
+	// true) and retired (live false), on every path OnEvent sees and
+	// after it. It is the tiering daemon's
+	// hook, as Place is: the daemon's per-block records are born and
+	// dropped with their blocks however the guest, an arena or the
+	// chain-freeing Free reaches the allocator. OnEvent stays the heat
+	// map's.
+	Track func(a Addr, live bool)
 }
 
 // NewAllocator creates an allocator managing [base, base+limit).
@@ -105,7 +114,6 @@ func roundSize(n uint64) uint64 {
 // experiment rather than a recoverable guest condition.
 func (al *Allocator) Alloc(n uint64) Addr {
 	size := roundSize(n)
-	var a Addr
 	if al.Place != nil {
 		if p := al.Place(size); p != 0 {
 			if p&WordMask != 0 {
@@ -114,18 +122,10 @@ func (al *Allocator) Alloc(n uint64) Addr {
 			if al.Contains(p) {
 				panic(fmt.Sprintf("mem: Place hook returned in-heap address %#x", p))
 			}
-			al.live[p] = size
-			al.BytesAllocated += size
-			al.BytesLive += size
-			if al.BytesLive > al.PeakLive {
-				al.PeakLive = al.BytesLive
-			}
-			if al.OnEvent != nil {
-				al.OnEvent("alloc", p, size)
-			}
-			return p
+			return al.born(p, size)
 		}
 	}
+	var a Addr
 	if stack := al.free[size]; len(stack) > 0 {
 		a = stack[len(stack)-1]
 		al.free[size] = stack[:len(stack)-1]
@@ -139,6 +139,12 @@ func (al *Allocator) Alloc(n uint64) Addr {
 		al.brk += Addr(need)
 		// Fresh pages are already zero with clear fbits; no Zero needed.
 	}
+	return al.born(a, size)
+}
+
+// born accounts a new live block of size bytes at a and tells the
+// hooks.
+func (al *Allocator) born(a Addr, size uint64) Addr {
 	al.live[a] = size
 	al.BytesAllocated += size
 	al.BytesLive += size
@@ -147,6 +153,9 @@ func (al *Allocator) Alloc(n uint64) Addr {
 	}
 	if al.OnEvent != nil {
 		al.OnEvent("alloc", a, size)
+	}
+	if al.Track != nil {
+		al.Track(a, true)
 	}
 	return a
 }
@@ -171,6 +180,9 @@ func (al *Allocator) Free(a Addr) {
 	}
 	if al.OnEvent != nil {
 		al.OnEvent("free", a, size)
+	}
+	if al.Track != nil {
+		al.Track(a, false)
 	}
 }
 

@@ -13,6 +13,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"memfwd/internal/addrtab"
@@ -227,6 +228,21 @@ func (m *Memory) TouchedPages() []Addr {
 		out[i] = r.pn << PageShift
 	}
 	return out
+}
+
+// EachFBit calls f with the address and raw value of every word whose
+// forwarding bit is set, in ascending address order, looking each
+// materialized page up once. Each group of eight bits is read before f
+// sees its words, so f may clear the bit of the word it is given.
+func (m *Memory) EachFBit(f func(a Addr, v uint64)) {
+	for _, r := range sortedPages(&m.pages) {
+		for i, b := range r.p.fbits {
+			for ; b != 0; b &= b - 1 {
+				w := i*8 + bits.TrailingZeros8(b)
+				f(r.pn<<PageShift+Addr(w*WordSize), r.p.words[w])
+			}
+		}
+	}
 }
 
 // pageRef is one materialized page and its page number.

@@ -252,9 +252,10 @@ func TestPlaceHookRejectsBadAddresses(t *testing.T) {
 	mustPanic(t, "in-heap", func() { al.Alloc(8) })
 }
 
-// OnEvent is the heat-attribution channel: it must fire for every
-// path that creates or retires a block — timed or untimed — and must
-// fire after bookkeeping so listeners see consistent allocator state.
+// OnEvent is the heat-attribution channel and Track the tiering
+// daemon's: each must fire for every path that creates or retires a
+// block — timed or untimed — and after bookkeeping so listeners see
+// consistent allocator state, Track after OnEvent.
 func TestOnEventCoversAllPaths(t *testing.T) {
 	al := newTestAlloc()
 	type ev struct {
@@ -267,15 +268,22 @@ func TestOnEventCoversAllPaths(t *testing.T) {
 	al.OnEvent = func(op string, a Addr, size uint64) {
 		got = append(got, ev{op, a, size, al.Live(a)})
 	}
+	al.Track = func(a Addr, live bool) {
+		last := got[len(got)-1]
+		if last.a != a || last.live != live || al.Live(a) != live {
+			t.Fatalf("Track(%#x, %v) after OnEvent %+v", a, live, last)
+		}
+		got[len(got)-1].op += "+track"
+	}
 	a := al.Alloc(24)
 	al.Free(a)
 	b := al.Alloc(24) // freelist reuse: same base must re-announce
 	ar := NewArena(al, 256)
 	want := []ev{
-		{"alloc", a, 24, true},
-		{"free", a, 24, false},
-		{"alloc", b, 24, true},
-		{"alloc", ar.Base(), 256, true},
+		{"alloc+track", a, 24, true},
+		{"free+track", a, 24, false},
+		{"alloc+track", b, 24, true},
+		{"alloc+track", ar.Base(), 256, true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("events %v, want %v", got, want)

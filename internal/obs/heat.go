@@ -69,12 +69,21 @@ const (
 // addressed by those ids, so neither the index nor the slab holds a
 // pointer for the collector to scan.
 //
+// A change log lists, once until its consumer next drains it, every
+// profile whose counters or identity changed: an attributed access or
+// trap, an alloc, a free, an eviction or a decay release. The tiering
+// daemon drains it at each wake, so it re-ranks only what changed. Each
+// id enters the log at most once, so with no consumer the log stays
+// bounded by the slab.
+//
 // Like the Machine it instruments, a HeatMap is not safe for concurrent
 // use; concurrent readers get Snapshot copies.
 type HeatMap struct {
-	objs map[uint64]uint32 // base -> slab id, live and dead profiles
-	slab []HeatObject      // id -> profile; id 0 means "no block"
-	free []uint32          // ids released by eviction and decay
+	objs  map[uint64]uint32 // base -> slab id, live and dead profiles
+	slab  []HeatObject      // id -> profile; id 0 means "no block"
+	state []uint8           // id -> idLogged | idVacant
+	free  []uint32          // ids released by eviction and decay
+	log   []heatChange      // ids changed since the last Drain
 
 	pages addrtab.Pages[heatPage] // page number -> word slots
 
@@ -93,6 +102,19 @@ const (
 	heatPageWords = 1 << (heatPageShift - 3)
 )
 
+// Per-id state bits.
+const (
+	idLogged = 1 << iota // in the change log
+	idVacant             // on the free list: the id names no profile
+)
+
+// heatChange is one change-log entry: a profile id and the base it
+// held when it entered the log.
+type heatChange struct {
+	id  uint32
+	was uint64
+}
+
 // heatPage holds a slot per word: the slab id of the live tracked block
 // covering it, or 0. A page costs 2 KB per 4 KB of tracked address space.
 type heatPage [heatPageWords]uint32
@@ -109,6 +131,7 @@ func NewHeatMap(maxObjects int, epochEvery uint64) *HeatMap {
 	return &HeatMap{
 		objs:       make(map[uint64]uint32),
 		slab:       make([]HeatObject, 1),
+		state:      make([]uint8, 1),
 		pages:      addrtab.NewPages[heatPage](0),
 		maxObjects: maxObjects,
 		epochEvery: epochEvery,
@@ -135,6 +158,7 @@ func (h *HeatMap) OnAlloc(base, bytes uint64) {
 		h.objs[base] = id
 	}
 	h.slab[id] = HeatObject{Base: base, Bytes: bytes, Live: true}
+	h.note(id)
 	h.index(id, true)
 }
 
@@ -150,7 +174,64 @@ func (h *HeatMap) OnFree(base uint64) {
 		return
 	}
 	h.slab[id].Live = false
+	h.note(id)
 	h.index(id, false)
+}
+
+// note logs id's profile as changed, once until the next Drain.
+func (h *HeatMap) note(id uint32) {
+	if h.state[id]&idLogged == 0 {
+		h.state[id] |= idLogged
+		h.log = append(h.log, heatChange{id, h.slab[id].Base})
+	}
+}
+
+// Drain calls f with the id of every profile logged since the previous
+// Drain and the base the id held when it was logged, then empties the
+// log. An id released since, or reused for another block, reads as
+// such through Profile, while was still names the block that lost it.
+// f must not change the heat map.
+func (h *HeatMap) Drain(f func(id uint32, was uint64)) {
+	if h == nil {
+		return
+	}
+	for _, c := range h.log {
+		h.state[c.id] &^= idLogged
+		f(c.id, c.was)
+	}
+	if cap(h.log) > 4096 {
+		h.log = nil // a burst (a guest's setup) need not keep its high-water mark
+	} else {
+		h.log = h.log[:0]
+	}
+}
+
+// ID returns the slab id of the profile at base, live or dead
+// (nil-safe).
+func (h *HeatMap) ID(base uint64) (uint32, bool) {
+	if h == nil {
+		return 0, false
+	}
+	id, ok := h.objs[base]
+	return id, ok
+}
+
+// Profile returns the profile an id names, or nil when it names none
+// (released, or never handed out). The pointer is valid until the heat
+// map next changes.
+func (h *HeatMap) Profile(id uint32) *HeatObject {
+	if id == 0 || int(id) >= len(h.slab) || h.state[id]&idVacant != 0 {
+		return nil
+	}
+	return &h.slab[id]
+}
+
+// Epochs returns how many decay epochs have passed (nil-safe).
+func (h *HeatMap) Epochs() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.epochs
 }
 
 // newID takes a slab slot for a new profile, recycling released ones.
@@ -158,15 +239,19 @@ func (h *HeatMap) newID() uint32 {
 	if n := len(h.free); n > 0 {
 		id := h.free[n-1]
 		h.free = h.free[:n-1]
+		h.state[id] &^= idVacant
 		return id
 	}
 	h.slab = append(h.slab, HeatObject{})
+	h.state = append(h.state, 0)
 	return uint32(len(h.slab) - 1)
 }
 
 // release forgets the profile at base entirely.
 func (h *HeatMap) release(base uint64, id uint32) {
+	h.note(id)
 	delete(h.objs, base)
+	h.state[id] |= idVacant
 	h.free = append(h.free, id)
 }
 
@@ -223,17 +308,14 @@ func (h *HeatMap) evictColdest() {
 	h.evicted++
 }
 
-// lookup resolves a word address to its tracked live object, if any.
-func (h *HeatMap) lookup(addr uint64) *HeatObject {
+// lookup resolves a word address to the id of its tracked live
+// object, or 0.
+func (h *HeatMap) lookup(addr uint64) uint32 {
 	p := h.pages.Get(addr >> heatPageShift)
 	if p == nil {
-		return nil
+		return 0
 	}
-	id := p[(addr>>3)&(heatPageWords-1)]
-	if id == 0 {
-		return nil
-	}
-	return &h.slab[id]
+	return p[(addr>>3)&(heatPageWords-1)]
 }
 
 // Resolve maps an address to the base of the tracked allocation block
@@ -243,11 +325,11 @@ func (h *HeatMap) Resolve(addr uint64) (base uint64, ok bool) {
 	if h == nil {
 		return 0, false
 	}
-	o := h.lookup(addr)
-	if o == nil {
+	id := h.lookup(addr)
+	if id == 0 {
 		return 0, false
 	}
-	return o.Base, true
+	return h.slab[id].Base, true
 }
 
 // Get returns a copy of the tracked profile for the block at base
@@ -272,16 +354,18 @@ func (h *HeatMap) RecordAccess(initial, final uint64, store bool, hops int) {
 	if h == nil {
 		return
 	}
-	o := h.lookup(initial)
-	if o == nil && final != initial {
+	id := h.lookup(initial)
+	if id == 0 && final != initial {
 		// Relocated object whose source block was never tracked (or
 		// evicted): fall back to the data's current home.
-		o = h.lookup(final)
+		id = h.lookup(final)
 	}
-	if o == nil {
+	if id == 0 {
 		h.untracked++
 		return
 	}
+	h.note(id)
+	o := &h.slab[id]
 	if store {
 		o.Stores++
 	} else {
@@ -304,10 +388,12 @@ func (h *HeatMap) RecordTrap(initial uint64, cycles int64) {
 	if h == nil {
 		return
 	}
-	o := h.lookup(initial)
-	if o == nil {
+	id := h.lookup(initial)
+	if id == 0 {
 		return
 	}
+	h.note(id)
+	o := &h.slab[id]
 	o.Traps++
 	if cycles > 0 {
 		o.TrapCyc += uint64(cycles)

@@ -236,3 +236,65 @@ func TestHeatMapReportAndMetrics(t *testing.T) {
 		t.Fatalf("metrics wrong: %v", vals)
 	}
 }
+
+// TestHeatMapChangeLog: every kind of change logs a profile once per
+// drain with the base it held when logged; an evicted id reused for
+// another block still names the evicted base as was and reads as the
+// newcomer through Profile; with no consumer the log stays bounded by
+// the slab however many changes it sees.
+func TestHeatMapChangeLog(t *testing.T) {
+	h := NewHeatMap(2, 1<<30)
+	drain := func() map[uint32]uint64 {
+		got := map[uint32]uint64{}
+		h.Drain(func(id uint32, was uint64) {
+			if _, dup := got[id]; dup {
+				t.Fatalf("id %d drained twice", id)
+			}
+			got[id] = was
+		})
+		return got
+	}
+	h.OnAlloc(0x100, 64)
+	h.OnAlloc(0x200, 64)
+	a, _ := h.ID(0x100)
+	b, _ := h.ID(0x200)
+	if got := drain(); len(got) != 2 || got[a] != 0x100 || got[b] != 0x200 {
+		t.Fatalf("allocs logged %v", got)
+	}
+	if got := drain(); len(got) != 0 {
+		t.Fatalf("second drain %v, want empty", got)
+	}
+	for i := 0; i < 5; i++ {
+		h.RecordAccess(0x108, 0x108, i%2 == 0, 0)
+	}
+	h.RecordTrap(0x200, 3)
+	h.RecordAccess(0x900, 0x900, false, 0) // untracked: no profile changes
+	if got := drain(); len(got) != 2 || got[a] != 0x100 || got[b] != 0x200 {
+		t.Fatalf("accesses and trap logged %v", got)
+	}
+	h.OnFree(0x200)
+	h.OnAlloc(0x300, 64) // full: evicts the dead 0x200, reusing its id
+	c, _ := h.ID(0x300)
+	if c != b {
+		t.Fatalf("newcomer took id %d, want the evicted %d", c, b)
+	}
+	got := drain()
+	if len(got) != 1 || got[b] != 0x200 {
+		t.Fatalf("free, eviction and reuse logged %v, want id %d once as 0x200", got, b)
+	}
+	if o := h.Profile(b); o == nil || o.Base != 0x300 {
+		t.Fatalf("Profile(%d) = %+v, want the newcomer", b, o)
+	}
+	if h.Epochs() != 0 || h.Profile(0) != nil || h.Profile(99) != nil {
+		t.Fatal("no epoch has passed, and ids 0 and 99 name no profile")
+	}
+	for i := 0; i < 1000; i++ {
+		base := uint64(0x1000 + 0x100*(i%7))
+		h.OnAlloc(base, 64)
+		h.RecordAccess(base, base, true, 0)
+		h.OnFree(base)
+	}
+	if len(h.log) > len(h.slab) {
+		t.Fatalf("undrained log holds %d entries for %d slab ids", len(h.log), len(h.slab))
+	}
+}

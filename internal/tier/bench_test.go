@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"fmt"
 	"testing"
 
 	"memfwd/internal/mem"
@@ -26,25 +27,41 @@ func BenchmarkDaemonInterception(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkDaemonWake is one full policy pass over a populated heap:
-// the live-set visit, heat ranking and candidate selection. All 256
-// blocks fit the near budget, so no wake migrates and every iteration
-// is the steady state; TestDaemonWakeSteadyStateZeroAlloc pins its
-// zero allocations on a heap that has seen spills and demotions.
+// BenchmarkDaemonWake is one policy pass over a populated heap at 1×,
+// 4× and 16× the live blocks, with the same 32 blocks' heat changed
+// before every wake (recorded straight into the daemon's heat map, so
+// the timed work is the wake's). A wake costs what changed, not the
+// live heap, so ns per wake stays flat across the three sizes. Every
+// block fits the near budget, so no wake migrates; warm-up wakes before
+// the timer settle every record, so even a single timed iteration is
+// the steady state, and it allocates nothing.
 func BenchmarkDaemonWake(b *testing.B) {
-	tc := mem.DefaultTierConfig(2, 70)
-	m := sim.New(sim.Config{Tiers: tc})
-	d := New(m, Config{Tiers: tc, Seed: 2, Every: 1 << 30, FastFrac: 0.25, MaxMoves: 8})
-	for i := 0; i < 256; i++ {
-		a := d.Malloc(256)
-		for j := 0; j <= i%16; j++ {
-			d.StoreWord(a, uint64(j))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.wake()
+	for _, live := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			tc := mem.DefaultTierConfig(2, 70)
+			m := sim.New(sim.Config{Tiers: tc})
+			d := New(m, Config{Tiers: tc, Seed: 2, Every: 1 << 30, MinBudget: 1 << 40, MaxMoves: 8})
+			blocks := make([]mem.Addr, live)
+			for i := range blocks {
+				blocks[i] = d.Malloc(256)
+			}
+			// Wake i changes blocks 32i..32i+31 of the first 256.
+			wake := func(i int) {
+				for j := 0; j < 32; j++ {
+					a := uint64(blocks[(32*i+j)%256])
+					d.heat.RecordAccess(a, a, true, 0)
+				}
+				d.wake()
+			}
+			for i := 0; i < 2*dueSlots; i++ {
+				wake(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wake(i)
+			}
+		})
 	}
 }
 

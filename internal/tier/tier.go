@@ -51,9 +51,11 @@ package tier
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/agent"
 	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
@@ -176,25 +178,57 @@ func (s *Stats) HitRate(i int) float64 {
 // block is the daemon's record of one live block: see the
 // Daemon.blocks field doc.
 type block struct {
-	// Ranking state carried from the previous wake.
-	last  uint64 // cumulative heatKey at the previous wake
+	// Ranking state as of wake at. While the block's heat stays as it
+	// was, the state after k more wakes follows in closed form (ranked):
+	// the score halves k times, idle grows by k, and last stays.
+	last  uint64 // cumulative heatKey at wake at
 	score uint64 // EWMA of per-wake deltas
-	idle  int    // consecutive wakes with a zero delta
+	at    uint64 // the wake the state reflects
+	idle  int32  // consecutive wakes with a zero delta
+
+	// hid is the heat profile the block ranks by, 0 when the heat map
+	// tracks none.
+	hid uint32
 
 	// Residency: bytes > 0 when the block's data lives in a tier window
 	// (spilled, demoted, or promoted back), word-rounded to match
 	// Take/Release accounting.
 	bytes uint64
-	tier  int
-	moved int // migrations so far, bounding promote/demote thrash
+	tier  uint8
+	moved uint8 // migrations so far, bounding promote/demote thrash
+
+	// fresh marks a block born since wake at and not yet matched to
+	// its heat profile. cold marks a block in the daemon's demotion set,
+	// hot one on its promotion watch list, and due one with an entry
+	// pending on the due wheel.
+	fresh, cold, hot, due bool
 }
 
-// candidate is a block a wake may migrate.
+// far reports whether the block's data lives in a far tier.
+func (b *block) far() bool { return b.bytes > 0 && b.tier > 0 }
+
+// ranked returns the block's score and idle count at wake w >= b.at,
+// its heat unchanged since b.at.
+func (b *block) ranked(w uint64) (score uint64, idle int) {
+	k := w - b.at
+	return b.score >> k, int(b.idle) + int(k)
+}
+
+// coldAt returns the first wake at which the block, its heat unchanged,
+// has a zero score and has been idle for idleWakes wakes.
+func (b *block) coldAt() uint64 {
+	n := uint64(bits.Len64(b.score))
+	if b.idle < idleWakes {
+		n = max(n, uint64(idleWakes-int(b.idle)))
+	}
+	return b.at + n
+}
+
+// candidate is a block a wake may promote.
 type candidate struct {
 	base  mem.Addr
 	score uint64
 	size  uint64
-	idle  int
 }
 
 // Daemon is the migrator. Like the machine it wraps, it is not safe
@@ -218,13 +252,20 @@ type Daemon struct {
 	guestTrap core.TrapHandler
 	tap       core.TrapHandler // trapTap, bound once so wakes re-install it for free
 
-	// blocks holds one record per block base: its residency (the
-	// window its data currently lives in), its migration count, and
-	// the ranking state carried between wakes. Bases are object
-	// identity (TryRelocate leaves the base forwarding, and a spilled
-	// object's base *is* its window address), so records stay valid
-	// across any number of moves. Free drops a record; a wake drops the
-	// records of blocks the allocator no longer has (untimed frees).
+	// Allocator and heat-log hooks, bound once (onTrack, onChange).
+	track   func(mem.Addr, bool)
+	changed func(uint32, uint64)
+
+	// blocks holds one record per live block, keyed by base: its
+	// residency (the window its data currently lives in), its migration
+	// count, and the ranking state carried between wakes. Bases are
+	// object identity (TryRelocate leaves the base forwarding, and a
+	// spilled object's base *is* its window address), so records stay
+	// valid across any number of moves. A block's record is made at the
+	// first wake after its birth (at its birth, for a spill placement)
+	// and dropped by the allocator's Track hook the moment the block is
+	// freed, on every path, so a newcomer at a recycled base starts
+	// from a fresh record.
 	//
 	// The ranking state is the cumulative heat seen at the previous
 	// wake (so each wake can take a delta) and an exponential moving
@@ -235,11 +276,30 @@ type Daemon struct {
 	// traversal cycle longer than one wake scores zero and gets demoted
 	// while still hot). The EWMA — halved each wake, then bumped by the
 	// fresh delta — is the middle ground: recency-weighted with a few
-	// wakes of memory. A block born since the previous wake has no
-	// record, or the zero-ranked one its spill placement made; only a
-	// base freed untimed and reused before the wake keeps the old
-	// block's record.
-	blocks map[mem.Addr]block
+	// wakes of memory. A wake updates only the records whose heat or
+	// identity the heat map logged as changed, and those born since the
+	// previous wake; every other record is exact in closed form.
+	blocks addrtab.Table[block]
+
+	// born lists the blocks born since the previous wake: the next
+	// wake makes their records and matches each to the profile the heat
+	// map then holds for its base.
+	born []mem.Addr
+
+	// epochs is the heat map's decay epoch count at the previous wake:
+	// an epoch halves every counter, so the wake after one updates
+	// every record.
+	epochs uint64
+
+	// cold is the demotion set: near, tracked blocks whose score has
+	// decayed to 0 after at least idleWakes idle wakes, in base order,
+	// so a wake's victims are a prefix walk. A block goes on the due
+	// wheel, in the slot of the wake at which it would join, until then.
+	// hot is the promotion watch list: far blocks whose score cleared
+	// PromoteMin at their last update.
+	cold  baseSet
+	wheel [dueSlots][]mem.Addr
+	hot   []mem.Addr
 
 	// farBytes is the rounded total of resident bytes in tiers >= 1,
 	// so nearLive is O(1) on the allocation path.
@@ -254,9 +314,13 @@ type Daemon struct {
 	// is current allocation pressure, which gates demotion.
 	lastSpills uint64
 
-	// victims and promos are the wake's candidate buffers, kept across
-	// wakes so a steady-state wake allocates nothing.
-	victims, promos []candidate
+	// remorse counts the wake's remorseful updates.
+	remorse int
+
+	// promos and demoted are the wake's buffers, kept across wakes so a
+	// steady-state wake allocates nothing.
+	promos  []candidate
+	demoted []mem.Addr
 
 	stats Stats
 }
@@ -299,6 +363,10 @@ const (
 	// patience while mistakes keep surfacing, relaxing back one wake at
 	// a time when they stop.
 	idleWakes = 16
+
+	// dueSlots sizes the due wheel: more slots than the longest wait
+	// for the demotion set, 64 halvings of a score.
+	dueSlots = 128
 )
 
 // New wraps inner with a tiering daemon and installs its spill
@@ -332,10 +400,10 @@ func New(inner app.Machine, cfg Config) *Daemon {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		heat:     cfg.Heat,
-		blocks:   make(map[mem.Addr]block),
+		blocks:   addrtab.New[block](0),
 		patience: idleWakes,
 	}
-	d.tap = d.trapTap
+	d.tap, d.track, d.changed = d.trapTap, d.onTrack, d.onChange
 	d.Interceptor = app.NewInterceptor(inner, d)
 	if d.heat == nil {
 		// Sized for whole-heap coverage: residency policy treats an
@@ -350,7 +418,7 @@ func New(inner app.Machine, cfg Config) *Daemon {
 	if d.ownHeat {
 		inner.SetTrap(d.tap)
 	}
-	d.al.Place = d.place
+	d.al.Place, d.al.Track = d.place, d.track
 	d.clock = agent.NewClock(cfg.Every, d.rng)
 	return d
 }
@@ -362,15 +430,15 @@ func New(inner app.Machine, cfg Config) *Daemon {
 func (d *Daemon) Tiers() *mem.Tiers { return d.tiers }
 
 // Rebind re-caches the wrapped machine's allocator and re-installs the
-// placement hook on it. For hosts that swap the underlying machine out
-// from under the interception chain (the session server's live
-// migration): the daemon — residency map, window cursors, ranking
-// state — is host state and persists across the swap, but the
-// allocator is machine state and does not. Call with the machine
-// quiesced, after the swap.
+// placement and tracking hooks on it. For hosts that swap the
+// underlying machine out from under the interception chain (the
+// session server's live migration): the daemon — residency map, window
+// cursors, ranking state — is host state and persists across the swap,
+// but the allocator is machine state and does not. Call with the
+// machine quiesced, after the swap.
 func (d *Daemon) Rebind() {
 	d.al = d.Machine.Allocator()
-	d.al.Place = d.place
+	d.al.Place, d.al.Track = d.place, d.track
 }
 
 // Stats returns a copy of the daemon's accounting.
@@ -450,7 +518,7 @@ func (d *Daemon) place(size uint64) mem.Addr {
 		d.stats.SkippedArena++
 		return 0
 	}
-	d.blocks[a] = block{tier: tier, bytes: take}
+	d.blocks.Put(uint64(a), block{bytes: take, tier: uint8(tier), fresh: true, at: d.stats.Wakes})
 	if tier > 0 {
 		d.farBytes += take
 		d.stats.Spills++
@@ -494,8 +562,8 @@ func (d *Daemon) record(a mem.Addr, store bool) {
 	// address is the near base but whose data lives where it was moved.
 	t := d.tiers.TierOf(a)
 	if base, ok := d.heat.Resolve(uint64(a)); ok {
-		if b, ok := d.blocks[mem.Addr(base)]; ok && b.bytes > 0 {
-			t = b.tier
+		if b := d.blocks.Ref(base); b != nil && b.bytes > 0 {
+			t = int(b.tier)
 		}
 	}
 	d.stats.Accesses[t]++
@@ -505,23 +573,156 @@ func (d *Daemon) record(a mem.Addr, store bool) {
 // the profiler attributed to the object. Forwarding traps are paid on
 // the access path, so a trap-heavy object is exactly as worth keeping
 // near as a load-heavy one.
-func heatKey(o obs.HeatObject) uint64 { return o.Loads + o.Stores + o.Traps }
+func heatKey(o *obs.HeatObject) uint64 { return o.Loads + o.Stores + o.Traps }
 
-// wake runs one policy pass: drop dead residencies, demote the coldest
-// near-resident objects while near memory is over budget, then haul
-// back any far-resident object that turned decisively hot. Guest traps
-// are masked for the duration — the daemon models an agent outside the
-// program, and its migrations must not invoke guest trap code.
+// onTrack is the allocator's Track hook: a block born goes on the born
+// list for the next wake, and a block freed loses its record at once.
+func (d *Daemon) onTrack(a mem.Addr, live bool) {
+	switch {
+	case !live:
+		d.drop(a)
+	case !d.cfg.OneShot || !d.fired:
+		d.born = append(d.born, a)
+	}
+}
+
+// drop forgets a dead block's record, releasing its window accounting
+// and its candidacy.
+func (d *Daemon) drop(a mem.Addr) {
+	b := d.blocks.Ref(uint64(a))
+	if b == nil {
+		return
+	}
+	if b.bytes > 0 {
+		d.tiers.Release(int(b.tier), b.bytes)
+		if b.tier > 0 {
+			d.farBytes -= b.bytes
+		}
+	}
+	if b.cold {
+		d.cold.remove(a)
+	}
+	if b.hot {
+		i := slices.Index(d.hot, a)
+		d.hot[i] = d.hot[len(d.hot)-1]
+		d.hot = d.hot[:len(d.hot)-1]
+	}
+	d.blocks.Delete(uint64(a))
+}
+
+// onChange updates the records a logged heat profile id names: the
+// block that held the id when it was logged, if the id has since been
+// released or handed to another block, and the block it names now.
+func (d *Daemon) onChange(id uint32, was uint64) {
+	w := d.stats.Wakes
+	o := d.heat.Profile(id)
+	if o == nil || o.Base != was {
+		if b := d.blocks.Ref(was); b != nil && b.hid == id && b.at < w {
+			d.update(mem.Addr(was), b) // finds its profile gone
+		}
+	}
+	if o != nil {
+		if b := d.blocks.Ref(o.Base); b != nil && b.at < w {
+			b.hid, b.fresh = id, false
+			d.update(mem.Addr(o.Base), b)
+		}
+	}
+}
+
+// update brings b, the record of the live block at base, to the
+// current wake: the quiet wakes since b.at in closed form, then this
+// wake's access delta, read through the block's heat profile id. A
+// fresh block first looks its profile up by base.
+func (d *Daemon) update(base mem.Addr, b *block) {
+	w := d.stats.Wakes
+	if b.fresh {
+		b.hid, _ = d.heat.ID(uint64(base))
+		b.fresh = false
+	}
+	var cur uint64
+	if o := d.heat.Profile(b.hid); o != nil && o.Base == uint64(base) {
+		cur = heatKey(o)
+	} else {
+		b.hid = 0
+	}
+	score, idle := b.ranked(w - 1)
+	delta := cur - b.last
+	if cur < b.last {
+		// Decay epoch or identity reuse shrank the counter; the
+		// current value is the freshest signal there is.
+		delta = cur
+	}
+	if delta == 0 {
+		idle++
+	} else {
+		idle = 0
+	}
+	b.last, b.score, b.idle, b.at = cur, score/2+delta, int32(idle), w
+	// A block the daemon itself demoted (spills have moved == 0)
+	// showing fresh accesses is a caught mistake: it now pays a chain
+	// walk per touch that leaving it alone would not have.
+	if delta > 0 && b.far() && b.moved > 0 {
+		if _, ok := d.movable(base); ok {
+			d.remorse++
+		}
+	}
+	if b.far() && b.score >= d.cfg.PromoteMin && !b.hot {
+		b.hot = true
+		d.hot = append(d.hot, base)
+	}
+	d.settle(base, b)
+}
+
+// movable returns the size of the block at base and whether the daemon
+// may move it at all: not an arena, and of a size it moves.
+func (d *Daemon) movable(base mem.Addr) (uint64, bool) {
+	size, _ := d.al.SizeOf(base)
+	return size, !d.al.Pinned(base) && size != 0 && size <= d.cfg.MaxObjectBytes
+}
+
+// settle files the block in the demotion set when it belongs there at
+// this wake: near, tracked by the heat map, its score decayed to 0 and
+// idle for at least idleWakes wakes. A near, tracked block not yet that
+// cold goes on the due wheel at the wake it would join, unless it has
+// an entry pending; that entry re-settles it when it comes due.
+func (d *Daemon) settle(base mem.Addr, b *block) {
+	w := d.stats.Wakes
+	due := b.coldAt()
+	near := b.hid != 0 && !b.far()
+	if in := near && due <= w; in != b.cold {
+		b.cold = in
+		if in {
+			d.cold.add(base)
+		} else {
+			d.cold.remove(base)
+		}
+	}
+	if near && due > w && !b.due {
+		b.due = true
+		d.wheel[due%dueSlots] = append(d.wheel[due%dueSlots], base)
+	}
+}
+
+// wake runs one policy pass: bring the records whose heat changed up
+// to date, demote the coldest near-resident objects while near memory
+// is over budget, then haul back any far-resident object that turned
+// decisively hot. Guest traps are masked for the duration — the daemon
+// models an agent outside the program, and its migrations must not
+// invoke guest trap code.
 //
-// The pass visits the live set in the allocator's map order and
-// updates each block's record in place. Visit order cannot change a
-// decision: the ranking state is per block, remorse is a count, and
-// victims and promotions are sorted by total orders — (score, base)
-// and (score descending, base) — before any of them moves.
+// A wake costs what changed since the previous one, not the live heap:
+// it updates the records of the blocks the heat map logged and of the
+// blocks born since, and walks its candidates from the demotion set
+// and the promotion watch list, which those updates keep current. The
+// decisions are those of re-scoring every live block: the ranking
+// state of a block whose heat did not change follows in closed form,
+// and victims and promotions are taken in total orders — base order
+// (every victim scores 0) and (score descending, base).
 func (d *Daemon) wake() {
 	if d.cfg.OneShot && d.fired {
 		return
 	}
+	first := !d.fired
 	d.fired = true
 	d.inWake = true
 	d.Machine.SetTrap(nil)
@@ -534,13 +735,13 @@ func (d *Daemon) wake() {
 		d.inWake = false
 	}()
 	d.stats.Wakes++
+	w := d.stats.Wakes
 	// The daemon runs on the guest's hart as part of the machine's own
 	// execution, so its migrations take the machine's context: the
 	// barrier and span table of the chain below, and the machine-global
 	// injector, read once per wake.
 	ctx := opt.MachineContext(d.Machine)
 
-	al := d.al
 	budget := d.budget()
 	maxMoves := d.cfg.MaxMoves
 	if d.cfg.OneShot {
@@ -556,76 +757,58 @@ func (d *Daemon) wake() {
 	d.lastSpills = d.stats.Spills
 	demoting := pressure > 0 || d.cfg.OneShot
 
-	// Score every live block by its access delta since the last wake (a
-	// OneShot pass sees lifetime totals — all it can know), and gather
-	// the blocks each lever may move.
-	victims, promos := d.victims[:0], d.promos[:0]
-	remorse, visited := 0, 0
-	al.EachLive(func(base mem.Addr, size uint64) {
-		visited++
-		b := d.blocks[base]
-		var cur uint64
-		o, known := d.heat.Get(uint64(base))
-		if known {
-			cur = heatKey(o)
-		}
-		delta := cur - b.last
-		if cur < b.last {
-			// Decay epoch or identity reuse shrank the counter; the
-			// current value is the freshest signal there is.
-			delta = cur
-		}
-		if delta == 0 {
-			b.idle++
-		} else {
-			b.idle = 0
-		}
-		b.last, b.score = cur, b.score/2+delta
-		d.blocks[base] = b
-		if al.Pinned(base) || size == 0 || size > d.cfg.MaxObjectBytes {
-			return
-		}
-		far := b.bytes > 0 && b.tier > 0
-		// A block the daemon itself demoted (spills have moved == 0)
-		// showing fresh accesses is a caught mistake: it now pays a
-		// chain walk per touch that leaving it alone would not have.
-		if far && delta > 0 && b.moved > 0 {
-			remorse++
-		}
-		if b.moved >= maxObjectMoves {
-			return
-		}
-		c := candidate{base, b.score, size, b.idle}
-		switch {
-		case far:
-			if d.cfg.PromoteMin > 0 && b.score >= d.cfg.PromoteMin {
-				promos = append(promos, c)
-			}
-		case demoting && known && b.score == 0:
-			// A block the heat map does not track is unknown, not
-			// cold — an evicted-but-hot block demoted on absence of
-			// evidence would pay a chain walk on every later access.
-			victims = append(victims, c)
-		}
-	})
-	d.victims, d.promos = victims, promos
-	// Every live block now has a record; any other record belongs to a
-	// block freed without passing through Free (untimed), whose
-	// residency releases its tier bytes here.
-	if len(d.blocks) > visited {
-		for base, b := range d.blocks {
-			if !al.Live(base) {
-				d.forget(base, b)
-			}
+	// Score blocks by their access delta since the last wake (a OneShot
+	// pass sees lifetime totals — all it can know): those born since,
+	// which get their records now, and those whose heat profile
+	// changed. The first wake (a OneShot pass is one) meets every block
+	// the allocator already held, and the wake after a heat epoch,
+	// which halved every counter, updates every record.
+	d.remorse = 0
+	adopt := func(base mem.Addr, _ uint64) {
+		if d.blocks.Ref(uint64(base)) == nil {
+			d.blocks.Put(uint64(base), block{fresh: true, at: w - 1})
 		}
 	}
+	if first {
+		d.al.EachLive(adopt)
+	}
+	for _, base := range d.born {
+		if d.al.Live(base) {
+			adopt(base, 0)
+		}
+	}
+	d.heat.Drain(d.changed)
+	for _, base := range d.born {
+		if b := d.blocks.Ref(uint64(base)); b != nil && b.at < w {
+			d.update(base, b)
+		}
+	}
+	d.born = reuse(d.born)
+	if first || d.heat.Epochs() != d.epochs {
+		d.blocks.Each(func(k uint64, _ block) {
+			if b := d.blocks.Ref(k); b.at < w {
+				d.update(mem.Addr(k), b)
+			}
+		})
+	}
+	d.epochs = d.heat.Epochs()
+	// The wheel slot holds this wake's entries; one for a base freed and
+	// reused since finds the newcomer, whose re-settling is harmless.
+	due := &d.wheel[w%dueSlots]
+	for _, base := range *due {
+		if b := d.blocks.Ref(uint64(base)); b != nil && b.due {
+			b.due = false
+			d.settle(base, b)
+		}
+	}
+	*due = reuse(*due)
 
 	// Self-tuning patience: while demotion mistakes keep surfacing,
 	// back off aggressively (the workload's re-touch cycle is longer
 	// than the current bar); when they stop, relax one wake at a time
 	// toward the configured floor.
-	if remorse > 0 {
-		d.stats.Remorse += uint64(remorse)
+	if d.remorse > 0 {
+		d.stats.Remorse += uint64(d.remorse)
 		d.patience *= 2
 		if d.patience > maxPatience {
 			d.patience = maxPatience
@@ -642,28 +825,58 @@ func (d *Daemon) wake() {
 	// per-address, not per-occupancy). Demoting the truly idle is the
 	// adaptive lever: it frees budget so the next phase's allocations
 	// are born near instead of spilling far, which a one-shot pass
-	// cannot do once its moment has passed.
+	// cannot do once its moment has passed. A heat-map-untracked block
+	// is unknown, not cold — an evicted-but-hot block demoted on absence
+	// of evidence would pay a chain walk on every later access — so the
+	// demotion set holds tracked blocks only.
 	target := budget - uint64(float64(budget)*headroom)
 	if d.nearLive() > target && demoting {
-		victims = slices.DeleteFunc(victims, func(c candidate) bool { return c.idle < d.patience })
-		slices.SortFunc(victims, func(a, b candidate) int {
-			return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.base, b.base))
-		})
 		moves := 0
-		for _, v := range victims {
+		d.demoted = d.demoted[:0]
+		d.cold.walk(func(base mem.Addr) bool {
+			b := d.blocks.Ref(uint64(base))
+			if _, idle := b.ranked(w); idle < d.patience || b.moved >= maxObjectMoves {
+				return true
+			}
+			size, ok := d.movable(base)
+			if !ok {
+				return true
+			}
 			if d.nearLive() <= target || moves >= maxMoves {
-				break
+				return false
 			}
-			if !d.migrate(ctx, v.base, v.size, d.tiers.Slowest()) {
-				break // window exhausted; no point trying further victims
+			if !d.migrate(ctx, base, size, d.tiers.Slowest()) {
+				return false // window exhausted; no point trying further victims
 			}
+			d.demoted = append(d.demoted, base)
 			moves++
+			return true
+		})
+		for _, base := range d.demoted {
+			d.settle(base, d.blocks.Ref(uint64(base)))
 		}
 	}
 
 	// Promote: a far-resident object hot enough to clear PromoteMin
 	// since the last wake earns near-latency space from tier 0's
 	// window — if the budget has room for it.
+	promos, hot := d.promos[:0], d.hot[:0]
+	for _, base := range d.hot {
+		b := d.blocks.Ref(uint64(base))
+		score, _ := b.ranked(w)
+		if !b.far() || score < d.cfg.PromoteMin {
+			b.hot = false
+			continue
+		}
+		hot = append(hot, base)
+		if b.moved >= maxObjectMoves {
+			continue
+		}
+		if size, ok := d.movable(base); ok {
+			promos = append(promos, candidate{base, score, size})
+		}
+	}
+	d.promos, d.hot = promos, hot
 	slices.SortFunc(promos, func(a, b candidate) int {
 		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.base, b.base))
 	})
@@ -679,21 +892,24 @@ func (d *Daemon) wake() {
 		if !d.migrate(ctx, p.base, p.size, 0) {
 			break
 		}
+		d.settle(p.base, d.blocks.Ref(uint64(p.base)))
 		moves++
 	}
 }
 
 func roundUp(n uint64) uint64 { return (n + mem.WordSize - 1) &^ uint64(mem.WordSize-1) }
 
-// forget drops a dead block's record, releasing its window accounting.
-func (d *Daemon) forget(base mem.Addr, b block) {
-	if b.bytes > 0 {
-		d.tiers.Release(b.tier, b.bytes)
-		if b.tier > 0 {
-			d.farBytes -= b.bytes
-		}
+// burstCap bounds the capacity a per-wake buffer keeps: one a burst
+// grew past it (the guest's setup before the first wake) is dropped,
+// so its high-water mark does not stay allocated for the whole run.
+const burstCap = 4096
+
+// reuse empties s for the next wake.
+func reuse(s []mem.Addr) []mem.Addr {
+	if cap(s) > burstCap {
+		return nil
 	}
-	delete(d.blocks, base)
+	return s[:0]
 }
 
 // migrate moves the object at base into tier's window through
@@ -720,19 +936,18 @@ func (d *Daemon) migrate(ctx opt.Context, base mem.Addr, size uint64, tier int) 
 	if repaired {
 		d.stats.Repaired++
 	}
-	b := d.blocks[base]
+	b := d.blocks.Ref(uint64(base))
 	if b.bytes > 0 {
-		d.tiers.Release(b.tier, b.bytes)
+		d.tiers.Release(int(b.tier), b.bytes)
 		if b.tier > 0 {
 			d.farBytes -= b.bytes
 		}
 	}
-	b.tier, b.bytes = tier, roundUp(size)
+	b.tier, b.bytes = uint8(tier), roundUp(size)
 	if tier > 0 {
 		d.farBytes += b.bytes
 	}
 	b.moved++
-	d.blocks[base] = b
 	if tier == 0 {
 		d.stats.Promotions++
 		d.stats.PromotedBytes += size
@@ -790,12 +1005,12 @@ func (d *Daemon) Malloc(n uint64) mem.Addr {
 }
 
 // Free intercepts a deallocation: release residency, tick, delegate.
+// The record goes before the tick, so a wake there already treats the
+// block as dead; the allocator's Track hook drops the records of the
+// chain blocks the machine's Free releases, and of untimed frees, the
+// same way.
 func (d *Daemon) Free(a mem.Addr) {
-	// A freed base may be recycled before the next wake; stale heat
-	// history must not be charged to the newcomer.
-	if b, ok := d.blocks[a]; ok {
-		d.forget(a, b)
-	}
+	d.drop(a)
 	d.tick()
 	d.Machine.Free(a)
 	if d.ownHeat {

@@ -301,6 +301,57 @@ func TestDaemonTrapChaining(t *testing.T) {
 	}
 }
 
+// TestDaemonNewcomerStartsFresh: a demoted heap block freed behind the
+// daemon's back (untimed) loses its record at the free, so a block the
+// allocator hands the same base before the next wake inherits nothing:
+// its accesses count in tier 0, where its data lives, and the wake
+// gives it a fresh record — no residency, no ranking history.
+func TestDaemonNewcomerStartsFresh(t *testing.T) {
+	tc := mem.DefaultTierConfig(2, 70)
+	m := sim.New(sim.Config{Tiers: tc})
+	h := obs.NewHeatMap(HeatObjects, 0)
+	m.SetHeatMap(h)
+	d := New(m, Config{Tiers: tc, Seed: 9, Every: 1 << 30, Heat: h})
+	old := m.Alloc.Alloc(256) // untimed: a heap block the heat map tracks
+	for i := 0; i < 8; i++ {
+		d.StoreWord(old+mem.Addr(i)*8, uint64(i))
+	}
+	d.wake()
+	slow := d.Tiers().Slowest()
+	if !d.migrate(opt.MachineContext(m), old, 256, slow) {
+		t.Fatal("demotion failed")
+	}
+	d.LoadWord(old)
+	d.wake()
+	if b := d.blocks.Ref(uint64(old)); b == nil || !b.far() || b.score == 0 {
+		t.Fatalf("setup: old block's record %+v, want far and warm", b)
+	}
+	far := d.FarLive()
+
+	m.Alloc.Free(old) // untimed: the daemon's Free never sees it
+	if d.FarLive() != far-256 {
+		t.Fatalf("far bytes %d after the free, want %d", d.FarLive(), far-256)
+	}
+	fresh := m.Alloc.Alloc(256)
+	if fresh != old {
+		t.Fatalf("allocator did not reuse the freed base: %#x, want %#x", fresh, old)
+	}
+	if b := d.blocks.Ref(uint64(fresh)); b != nil {
+		t.Fatalf("newcomer inherited a record: %+v", b)
+	}
+	before := d.Stats().Accesses
+	d.StoreWord(fresh, 1)
+	d.LoadWord(fresh)
+	after := d.Stats().Accesses
+	if after[0] != before[0]+2 || after[slow] != before[slow] {
+		t.Fatalf("newcomer's accesses by tier %v -> %v, want both in tier 0", before, after)
+	}
+	d.wake()
+	if b := d.blocks.Ref(uint64(fresh)); b.bytes != 0 || b.moved != 0 || b.score != 2 || b.idle != 0 {
+		t.Fatalf("newcomer after a wake: %+v, want near, unmoved, score 2", b)
+	}
+}
+
 // daemonTestConfig is the policy configuration the cross-machine
 // harness tests share: budget small enough that real applications
 // exercise spills and demotions.
