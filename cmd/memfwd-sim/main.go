@@ -29,9 +29,9 @@ import (
 
 	"memfwd"
 	"memfwd/internal/agent"
-	"memfwd/internal/apps/app"
 	"memfwd/internal/exp"
 	"memfwd/internal/fault"
+	"memfwd/internal/fprof"
 	"memfwd/internal/mem"
 	"memfwd/internal/pprofutil"
 	"memfwd/internal/sched"
@@ -239,19 +239,6 @@ func main() {
 	reg := memfwd.NewMetricsRegistry()
 	m.RegisterMetrics(reg)
 
-	var heat *memfwd.HeatMap
-	if *heatTop > 0 || *attrCSV != "" || *attrJSON != "" || telSrv != nil || tierSpec != nil {
-		// The migrator refuses to demote blocks the heat map does not
-		// track, so with -tiers the table must cover the whole heap,
-		// not just a telemetry-sized hot set.
-		heatObjs := 0
-		if tierSpec != nil {
-			heatObjs = tier.HeatObjects
-		}
-		heat = memfwd.NewHeatMap(heatObjs, 0)
-		m.SetHeatMap(heat)
-		heat.RegisterMetrics(reg)
-	}
 	var spans *memfwd.SpanTable
 	if *relocReport || telSrv != nil {
 		spans = memfwd.NewSpanTable(0)
@@ -259,9 +246,42 @@ func main() {
 		spans.RegisterMetrics(reg)
 	}
 
+	// The guest runs on the machine wrapped in the agents the flags ask
+	// for: relocator harts with -harts, the migrator daemon with -tiers.
+	// The stack is built after the span table and before every observer
+	// of the heat map and the trap handler (memfwd.NewStack).
+	sseed := *schedSeed
+	if sseed == 0 {
+		sseed = *seed
+	}
+	stk, err := memfwd.NewStack(m, m, sched.Config{Harts: *harts, Seed: sseed}, tier.Config{
+		Tiers:    tierSpec,
+		Seed:     *seed,
+		Every:    *migrateEvery,
+		FastFrac: *fastFrac,
+		OneShot:  *tierStatic,
+	}, 0, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "memfwd-sim:", err)
+		os.Exit(2)
+	}
+	heat := m.HeatMap() // the daemon's, with -tiers
+	if heat == nil && (*heatTop > 0 || *attrCSV != "" || *attrJSON != "" || telSrv != nil) {
+		heat = memfwd.NewHeatMap(0, 0)
+		m.SetHeatMap(heat)
+	}
+	if heat != nil {
+		heat.RegisterMetrics(reg)
+	}
+	if stk.Daemon != nil {
+		stk.Daemon.RegisterMetrics(reg)
+	}
+
 	var prof *memfwd.Profiler
 	if *profile || *attrCSV != "" || *attrJSON != "" {
-		prof = memfwd.AttachProfiler(m)
+		// Through the stack's guest: the daemon masks the handler during
+		// its wakes and restores only one installed through it.
+		prof = fprof.AttachThrough(m, stk.Guest)
 		prof.RegisterMetrics(reg)
 		if *attrCSV != "" || *attrJSON != "" {
 			prof.EnableAttribution()
@@ -293,41 +313,6 @@ func main() {
 		m.SetFaultInjector(inj)
 	}
 
-	// The guest runs on the machine directly, or wrapped: with -harts,
-	// the scheduling group interleaves relocator harts against the
-	// guest's operations; with -tiers, the migrator daemon sits
-	// outermost, so its migrations hit the group's relocation barrier
-	// like any other agent's. Sharing the machine's heat map gives the
-	// daemon full trap-cost and hop attribution.
-	var guest app.Machine = m
-	var grp *sched.Group
-	if *harts > 1 {
-		sseed := *schedSeed
-		if sseed == 0 {
-			sseed = *seed
-		}
-		var err error
-		grp, err = sched.New(m, sched.Config{Harts: *harts, Seed: sseed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memfwd-sim:", err)
-			os.Exit(2)
-		}
-		guest = grp
-	}
-	var daemon *tier.Daemon
-	if tierSpec != nil {
-		daemon = tier.New(guest, tier.Config{
-			Tiers:    tierSpec,
-			Seed:     *seed,
-			Every:    *migrateEvery,
-			FastFrac: *fastFrac,
-			OneShot:  *tierStatic,
-			Heat:     heat,
-		})
-		daemon.RegisterMetrics(reg)
-		guest = daemon
-	}
-
 	// The run goes through the hardened engine even as a single job, so
 	// an injected crash, a hung workload, or a timeout is reported as a
 	// structured reason instead of killing the process.
@@ -344,17 +329,15 @@ func main() {
 		exp.Config{Jobs: 1, JobTimeout: *timeout},
 		[]exp.Spec{spec},
 		func(int, exp.Spec) struct{} {
-			res = a.Run(guest, appCfg)
+			res = stk.Run(a, appCfg)
 			return struct{}{}
 		})
 	if len(jobErrs) > 0 {
 		fmt.Fprintf(os.Stderr, "memfwd-sim: run incomplete: %s\n", jobErrs[0].Reason())
 		os.Exit(1)
 	}
-	if grp != nil {
-		grp.Quiesce()
-	}
 	st := m.Finalize()
+	gs, ds := stk.Stats()
 	publish() // final snapshots: the lingering server serves end state
 
 	if err := tracer.Close(); err != nil {
@@ -407,14 +390,7 @@ func main() {
 		if series != nil {
 			run.Samples = series.Samples
 		}
-		if grp != nil {
-			gs := grp.Stats()
-			run.Sched = &gs
-		}
-		if daemon != nil {
-			ds := daemon.Stats()
-			run.Tier = &ds
-		}
+		run.Sched, run.Tier = gs, ds
 		if err := memfwd.WriteJSON(os.Stdout, run); err != nil {
 			fmt.Fprintln(os.Stderr, "memfwd-sim:", err)
 			os.Exit(1)
@@ -440,13 +416,11 @@ func main() {
 	fmt.Printf("dep speculation     %d violations, %d bypasses\n", st.DepViolations, st.DepBypasses)
 	fmt.Printf("relocated objects   %d, space overhead %d bytes\n", res.Relocated, res.SpaceOverhead)
 	fmt.Printf("heap peak           %d bytes, pages touched %d\n", st.HeapPeak, st.PagesTouched)
-	if grp != nil {
-		gs := grp.Stats()
+	if gs != nil {
 		fmt.Printf("scheduling          %d harts, %d steps, %d relocations committed (%d faulted, %d crashes, %d scavenges), %d barrier drains\n",
 			*harts, gs.Steps, gs.Relocations, gs.Faulted, gs.Crashes, gs.Scavenges, gs.Drains)
 	}
-	if daemon != nil {
-		ds := daemon.Stats()
+	if ds != nil {
 		fmt.Printf("tiering             %d wakes, %d placed, %d demoted (%d B), %d spilled (%d B), %d promoted, %d repaired, near hit rate %.2f%%\n",
 			ds.Wakes, ds.Placed, ds.Demotions, ds.DemotedBytes, ds.Spills, ds.SpilledBytes, ds.Promotions, ds.Repaired, 100*ds.HitRate(0))
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"memfwd/internal/apps/app"
 	"memfwd/internal/exp"
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
@@ -237,10 +236,11 @@ func localityApps() []App {
 }
 
 // RunOne executes one (app, line, variant) cell and returns its Run.
-// The tiering variants run on a 2-tier machine under the migrator
-// daemon, which shares the machine's heat map (full trap and hop
-// attribution, the same wiring as memfwd-sim -tiers); Static and
-// Adaptive differ only in the daemon's one-shot mode.
+// The guest runs on the machine wrapped in the agents the cell asks for
+// (NewStack, as memfwd-sim wraps it): relocator harts with
+// Options.Harts > 1, and on the tiering variants' 2-tier machine the
+// migrator daemon; Static and Adaptive differ only in the daemon's
+// one-shot mode.
 func RunOne(a App, line int, v Variant, block int, o Options) Run {
 	o = o.Norm()
 	mc := MachineConfig{LineSize: line}
@@ -273,10 +273,22 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 		series = &SampleSeries{Every: o.SampleEvery}
 		m.SetSampleEvery(o.SampleEvery, series)
 	}
-	if mc.Tiers != nil {
-		// The migrator refuses to demote blocks the heat map does not
-		// track, so the table must cover the whole heap.
-		m.SetHeatMap(NewHeatMap(tier.HeatObjects, 0))
+	if o.Telemetry != nil {
+		// Watch would add this table after the stack is built, too late
+		// for the relocator harts, which record into the one present at
+		// construction.
+		m.SetSpans(obs.NewSpanTable(0))
+	}
+	schedSeed := o.SchedSeed
+	if schedSeed == 0 {
+		schedSeed = o.Seed
+	}
+	stk, err := NewStack(m, m, sched.Config{Harts: o.Harts, Seed: schedSeed},
+		tier.Config{Tiers: mc.Tiers, Seed: o.Seed, OneShot: v == VariantStatic}, 0, 0)
+	if err != nil {
+		// A harness configuration error, like a malformed fault spec:
+		// the cmd flag parsing validates -harts before any cell runs.
+		panic(fmt.Sprintf("memfwd: bad hart count %d: %v", o.Harts, err))
 	}
 	if t := o.Telemetry; t != nil {
 		lt, _ := t.Watch(m, series, nil)
@@ -286,49 +298,9 @@ func RunOne(a App, line int, v Variant, block int, o Options) Run {
 			obs.KPhaseBegin, obs.KPhaseEnd, obs.KSpanBegin, obs.KSpanEnd)
 		defer lt.Close() // flushes into the hub, which stays open
 	}
-	// The guest runs on the machine directly, or wrapped like memfwd-sim
-	// wraps it: the scheduling group interleaves relocator harts against
-	// the guest, and the migrator daemon sits outermost so its
-	// migrations hit the group's relocation barrier.
-	var guest app.Machine = m
-	var grp *sched.Group
-	if o.Harts > 1 {
-		seed := o.SchedSeed
-		if seed == 0 {
-			seed = o.Seed
-		}
-		var err error
-		grp, err = sched.New(m, sched.Config{Harts: o.Harts, Seed: seed})
-		if err != nil {
-			// A harness configuration error, like a malformed fault spec:
-			// the cmd flag parsing validates -harts before any cell runs.
-			panic(fmt.Sprintf("memfwd: bad hart count %d: %v", o.Harts, err))
-		}
-		guest = grp
-	}
-	var daemon *tier.Daemon
-	if mc.Tiers != nil {
-		daemon = tier.New(guest, tier.Config{
-			Tiers:   mc.Tiers,
-			Seed:    o.Seed,
-			OneShot: v == VariantStatic,
-			Heat:    m.HeatMap(),
-		})
-		guest = daemon
-	}
-	res := a.Run(guest, cfg)
-	if grp != nil {
-		grp.Quiesce()
-	}
+	res := stk.Run(a, cfg)
 	r := Run{App: a.Name, Line: line, Variant: v, Block: block, Stats: m.Finalize(), Result: res}
-	if grp != nil {
-		gs := grp.Stats()
-		r.Sched = &gs
-	}
-	if daemon != nil {
-		ts := daemon.Stats()
-		r.Tier = &ts
-	}
+	r.Sched, r.Tier = stk.Stats()
 	if series != nil {
 		r.Samples = series.Samples
 	}

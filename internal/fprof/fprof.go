@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
@@ -47,11 +48,16 @@ type Profiler struct {
 }
 
 // Attach installs the profiler on m (replacing any trap handler).
-func Attach(m *sim.Machine) *Profiler {
+func Attach(m *sim.Machine) *Profiler { return AttachThrough(m, m) }
+
+// AttachThrough profiles m but installs the handler through guest, the
+// outermost machine of a wrapper chain over m (replacing any trap
+// handler). A wrapper that masks the guest's handler while it works,
+// like the tiering daemon, restores only a handler installed through
+// it.
+func AttachThrough(m *sim.Machine, guest app.Machine) *Profiler {
 	p := &Profiler{m: m, sites: make(map[int]*SiteProfile), MaxInitials: 256}
-	m.SetTrap(func(ev core.Event) {
-		p.record(ev)
-	})
+	guest.SetTrap(p.record)
 	return p
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"memfwd/internal/obs"
+	"memfwd/internal/sim"
 	"memfwd/internal/telemetry"
 )
 
@@ -115,11 +116,14 @@ func (sv *Server) sessionMetrics(emit func(string, float64)) {
 		// closed sessions have no tier state.
 		ops += s.ops()
 		s.mu.Lock()
-		if s.td != nil && !s.closed {
+		if s.stk != nil && s.stk.Daemon != nil && !s.closed {
 			tierSessions++
-			for i, v := range s.tierSnapshot().sums() {
-				tierSums[i] += v
-			}
+			s.withMachine(func(*sim.Machine) error { //nolint:errcheck // fn returns nil
+				for i, v := range s.tierState().sums() {
+					tierSums[i] += v
+				}
+				return nil
+			})
 		}
 		s.mu.Unlock()
 	}

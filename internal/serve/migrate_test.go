@@ -85,7 +85,10 @@ func TestSnapshotMigrateMidChaos(t *testing.T) {
 					if err != nil {
 						t.Fatalf("live digest: %v", err)
 					}
-					snapID, _ := sv.snapshotSession(s)
+					snapID, _, err := sv.snapshotSession(s)
+					if err != nil {
+						t.Fatalf("snapshot: %v", err)
+					}
 					restoreShard := (next + 2) % shards
 					rs, err := sv.restoreSnapshot(snapID, &restoreShard)
 					if err != nil {
@@ -134,15 +137,15 @@ func TestSnapshotMigrateMidChaos(t *testing.T) {
 
 			// The adversary itself must not have noticed: identical
 			// action counts mean the chaos episode replayed exactly.
-			if s.rel.Relocations != crel.Relocations ||
-				s.rel.Lengthenings != crel.Lengthenings ||
-				s.rel.Probes != crel.Probes ||
-				s.rel.CyclicProbes != crel.CyclicProbes {
+			if s.stk.Chaos.Relocations != crel.Relocations ||
+				s.stk.Chaos.Lengthenings != crel.Lengthenings ||
+				s.stk.Chaos.Probes != crel.Probes ||
+				s.stk.Chaos.CyclicProbes != crel.CyclicProbes {
 				t.Errorf("adversary stats diverged:\n  served  reloc=%d length=%d probes=%d cyclic=%d\n  control reloc=%d length=%d probes=%d cyclic=%d",
-					s.rel.Relocations, s.rel.Lengthenings, s.rel.Probes, s.rel.CyclicProbes,
+					s.stk.Chaos.Relocations, s.stk.Chaos.Lengthenings, s.stk.Chaos.Probes, s.stk.Chaos.CyclicProbes,
 					crel.Relocations, crel.Lengthenings, crel.Probes, crel.CyclicProbes)
 			}
-			if s.rel.Relocations == 0 {
+			if s.stk.Chaos.Relocations == 0 {
 				t.Error("adversary performed no relocations; proof is vacuous")
 			}
 

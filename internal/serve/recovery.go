@@ -38,7 +38,6 @@ import (
 
 	"memfwd/internal/fault"
 	"memfwd/internal/mem"
-	"memfwd/internal/obs"
 	"memfwd/internal/sim"
 )
 
@@ -217,29 +216,11 @@ func (sv *Server) recoverRawSession(meta *sessionMeta, recs []*walRecord, rep *R
 	if err != nil {
 		return nil, err
 	}
-	var req createRequest
-	if len(meta.req) > 0 {
-		json.Unmarshal(meta.req, &req) //nolint:errcheck // cosmetic fields only
-	}
-	s := &Session{
-		ID:    meta.id,
-		Mode:  "raw",
-		Tiers: req.Tiers,
-		cfg:   mst.Config(),
-		hub:   obs.NewBroadcaster(),
-	}
-	s.shard.Store(int32(meta.shard))
-	s.tr = obs.NewTracer(obs.NoClose(s.hub), 32)
-	m := sim.New(mst.Config())
-	if err := m.LoadState(mst); err != nil {
+	s, err := newRawSession(meta.id, meta.shard, mst.Config(), mst, meta.rawOps, meta.arenaOff)
+	if err != nil {
 		return nil, fmt.Errorf("serve: recover %s: %w", meta.id, err)
 	}
-	m.SetTracer(s.tr)
-	s.m = m
 	s.reqJSON = meta.req
-	s.rawOps.Store(meta.rawOps)
-	s.arenaOff = meta.arenaOff
-	s.arenaNext = shardArenaBase(meta.shard) + meta.arenaOff
 	if err := sv.replayRaw(s, recs, rep); err != nil {
 		return nil, fmt.Errorf("serve: recover %s: %w", meta.id, err)
 	}

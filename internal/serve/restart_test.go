@@ -185,6 +185,18 @@ func recoverDir(t *testing.T, dir string) (*Server, RecoverReport) {
 	return sv, rep
 }
 
+// digest computes the session's heap digest modulo forwarding. Callers
+// hold s.mu.
+func (s *Session) digest() (uint64, error) {
+	var d uint64
+	err := s.withMachine(func(m *sim.Machine) error {
+		var err error
+		d, err = oracle.DigestModuloForwarding(m.Mem, m.Fwd, m.Alloc)
+		return err
+	})
+	return d, err
+}
+
 func sessionDigest(t *testing.T, s *Session) uint64 {
 	t.Helper()
 	s.mu.Lock()
@@ -403,7 +415,10 @@ func TestDurableChaosSessionRecovery(t *testing.T) {
 
 	// Persist a mid-episode snapshot and restore it in-memory: the
 	// recovered world must reproduce both.
-	snapID, snap := sv1.snapshotSession(live)
+	snapID, snap, err := sv1.snapshotSession(live)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
 	if err := st.writeSnapshot(snapID, snap); err != nil {
 		t.Fatalf("persist snapshot: %v", err)
 	}
@@ -502,10 +517,10 @@ func TestDurableChaosSessionRecovery(t *testing.T) {
 
 	// Adversary action counts must match the uncrashed twin exactly —
 	// and be non-zero, or the chaos claim is vacuous.
-	if rec.rel.Relocations != twin.rel.Relocations || rec.rel.Relocations == 0 {
-		t.Fatalf("adversary relocations: recovered %d, twin %d", rec.rel.Relocations, twin.rel.Relocations)
+	if rec.stk.Chaos.Relocations != twin.stk.Chaos.Relocations || rec.stk.Chaos.Relocations == 0 {
+		t.Fatalf("adversary relocations: recovered %d, twin %d", rec.stk.Chaos.Relocations, twin.stk.Chaos.Relocations)
 	}
-	recGrp, twinGrp := rec.grp.Stats(), twin.grp.Stats()
+	recGrp, twinGrp := rec.stk.Group.Stats(), twin.stk.Group.Stats()
 	if recGrp.Relocations != twinGrp.Relocations || recGrp.Relocations == 0 {
 		t.Fatalf("scheduler relocations: recovered %+v, twin %+v", recGrp, twinGrp)
 	}

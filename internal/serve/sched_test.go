@@ -94,7 +94,10 @@ func TestMultiHartSessionMigrateMidChaos(t *testing.T) {
 					if err != nil {
 						t.Fatalf("live digest: %v", err)
 					}
-					snapID, _ := sv.snapshotSession(s)
+					snapID, _, err := sv.snapshotSession(s)
+					if err != nil {
+						t.Fatalf("snapshot: %v", err)
+					}
 					restoreShard := (next + 2) % shards
 					rs, err := sv.restoreSnapshot(snapID, &restoreShard)
 					if err != nil {
@@ -143,10 +146,10 @@ func TestMultiHartSessionMigrateMidChaos(t *testing.T) {
 
 			// Both interference sources must actually have run, or the
 			// proof is vacuous.
-			if st := s.grp.Stats(); st.Relocations == 0 {
+			if st := s.stk.Group.Stats(); st.Relocations == 0 {
 				t.Errorf("scheduling group committed no relocations: %+v", st)
 			}
-			if s.rel.Relocations == 0 {
+			if s.stk.Chaos.Relocations == 0 {
 				t.Error("adversary performed no relocations")
 			}
 

@@ -297,26 +297,36 @@ func (sv *Server) createSession(req createRequest) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := fmt.Sprintf("s-%d", sv.nextSession.Add(1))
-	s, err := newSession(id, shardID, sv.cfg.Sim, req)
+	s, err := newSession(fmt.Sprintf("s-%d", sv.nextSession.Add(1)), shardID, sv.cfg.Sim, req)
 	if err != nil {
 		return nil, err
 	}
 	s.reqJSON, _ = json.Marshal(req) //nolint:errcheck // plain struct cannot fail
+	if err := sv.addSession(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// addSession persists a new session and enters it in the table: the one
+// path behind create and restore. A session that cannot be persisted
+// strikes its shard and is closed.
+func (sv *Server) addSession(s *Session) error {
+	sh := sv.shards[int(s.shard.Load())]
 	if err := sv.persistNewSession(s); err != nil {
-		sv.strike(shardID)
+		sv.strike(sh.id)
 		s.mu.Lock()
 		s.close()
 		s.mu.Unlock()
-		return nil, fmt.Errorf("persist session: %w", err)
+		return fmt.Errorf("persist session: %w", err)
 	}
 	sv.mu.Lock()
-	sv.sessions[id] = s
+	sv.sessions[s.ID] = s
 	sv.mu.Unlock()
-	sv.shards[shardID].active.Add(1)
-	sv.shards[shardID].created.Add(1)
+	sh.active.Add(1)
+	sh.created.Add(1)
 	sv.created.Add(1)
-	return s, nil
+	return nil
 }
 
 // session looks a live session up.
@@ -360,9 +370,14 @@ func (sv *Server) migrateSession(s *Session, to int) error {
 	return nil
 }
 
-// snapshotSession captures s into the server-held snapshot store.
-func (sv *Server) snapshotSession(s *Session) (string, *storedSnapshot) {
+// snapshotSession captures s into the server-held snapshot store. A
+// closed session has nothing left to capture.
+func (sv *Server) snapshotSession(s *Session) (string, *storedSnapshot, error) {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return "", nil, fmt.Errorf("session %s is closed", s.ID)
+	}
 	snap := &storedSnapshot{
 		st:       s.save(),
 		ops:      s.ops(),
@@ -376,7 +391,7 @@ func (sv *Server) snapshotSession(s *Session) (string, *storedSnapshot) {
 	sv.snaps[id] = snap
 	sv.mu.Unlock()
 	sv.snapshots.Add(1)
-	return id, snap
+	return id, snap, nil
 }
 
 // restoreSnapshot instantiates a stored snapshot as a new raw session
@@ -396,36 +411,13 @@ func (sv *Server) restoreSnapshot(snapID string, shardReq *int) (*Session, error
 		return nil, err
 	}
 	id := fmt.Sprintf("s-%d", sv.nextSession.Add(1))
-	s := &Session{
-		ID:   id,
-		Mode: "raw",
-		cfg:  snap.st.Config(),
-		hub:  obs.NewBroadcaster(),
-	}
-	s.shard.Store(int32(shardID))
-	s.tr = obs.NewTracer(obs.NoClose(s.hub), 32)
-	m := sim.New(snap.st.Config())
-	if err := m.LoadState(snap.st); err != nil {
+	s, err := newRawSession(id, shardID, snap.st.Config(), snap.st, snap.ops, snap.arenaOff)
+	if err != nil {
 		return nil, fmt.Errorf("restore %s: %w", snapID, err)
 	}
-	m.SetTracer(s.tr)
-	s.m = m
-	s.rawOps.Store(snap.ops)
-	s.arenaOff = snap.arenaOff
-	s.arenaNext = shardArenaBase(shardID) + snap.arenaOff
-	if err := sv.persistNewSession(s); err != nil {
-		sv.strike(shardID)
-		s.mu.Lock()
-		s.close()
-		s.mu.Unlock()
-		return nil, fmt.Errorf("persist session: %w", err)
+	if err := sv.addSession(s); err != nil {
+		return nil, err
 	}
-	sv.mu.Lock()
-	sv.sessions[id] = s
-	sv.mu.Unlock()
-	sv.shards[shardID].active.Add(1)
-	sv.shards[shardID].created.Add(1)
-	sv.created.Add(1)
 	sv.restores.Add(1)
 	return s, nil
 }
@@ -803,14 +795,18 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "session %s is closed", s.ID)
 		return
 	}
-	info := sv.info(s)
-	dig, err := s.digest()
+	// One pause: the info, digest, stats and tier view are of one
+	// instant, whatever a concurrent /step does.
+	var info sessionInfo
+	var dig uint64
 	var stats *sim.Stats
-	s.withMachine(func(m *sim.Machine) error { //nolint:errcheck // fn returns nil
-		stats = m.Snapshot()
-		return nil
+	var tv *tierView
+	err := s.withMachine(func(m *sim.Machine) error {
+		info, stats, tv = sv.info(s), m.Snapshot(), s.tierState()
+		var err error
+		dig, err = oracle.DigestModuloForwarding(m.Mem, m.Fwd, m.Alloc)
+		return err
 	})
-	tv := s.tierSnapshot()
 	s.mu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "digest: %v", err)
@@ -833,7 +829,11 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown session")
 		return
 	}
-	id, snap := sv.snapshotSession(s)
+	id, snap, err := sv.snapshotSession(s)
+	if err != nil {
+		writeErr(w, http.StatusGone, "%v", err)
+		return
+	}
 	resp := map[string]any{"snapshot": id, "session": sv.info(s)}
 	if st := sv.cfg.Store; st != nil {
 		// The in-memory snapshot is already taken; persistence failure

@@ -143,6 +143,26 @@ func TestRawSessionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfClosedSessionRefused: a /snapshot that looked the
+// session up just before a DELETE closed it is refused with 410, like
+// /op, and stores nothing.
+func TestSnapshotOfClosedSessionRefused(t *testing.T) {
+	sv := startServer(t, Config{Shards: 1})
+	var info sessionInfo
+	call(t, sv, "POST", "/sessions", createRequest{}, &info)
+	s, _ := sv.session(info.ID)
+	s.mu.Lock()
+	s.close()
+	s.mu.Unlock()
+	err := callErr(sv, "POST", "/sessions/"+info.ID+"/snapshot", struct{}{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "410") {
+		t.Fatalf("snapshot of a closed session: %v, want 410", err)
+	}
+	if n := sv.snapshots.Load(); n != 0 || len(sv.snaps) != 0 {
+		t.Fatalf("closed session snapshotted: %d counted, %d stored", n, len(sv.snaps))
+	}
+}
+
 // TestRawOpValidation: guest-level mistakes come back as HTTP errors,
 // never server panics.
 func TestRawOpValidation(t *testing.T) {

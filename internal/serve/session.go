@@ -10,7 +10,6 @@ import (
 	"memfwd/internal/apps/app"
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
-	"memfwd/internal/oracle"
 	"memfwd/internal/sched"
 	"memfwd/internal/sim"
 	"memfwd/internal/tier"
@@ -37,7 +36,7 @@ func shardArenaBase(shard int) mem.Addr {
 //     malloc/free/load/store/relocate operations through /op;
 //   - app: a registered benchmark application runs on a dedicated
 //     runner goroutine, advanced in guest-operation quanta through
-//     /step, optionally wrapped in the chaos Relocator adversary.
+//     /step, wrapped in the agents the session asks for (memfwd.Stack).
 //
 // Either mode can be suspended, snapshotted, and migrated between
 // shards at any operation boundary.
@@ -45,8 +44,8 @@ type Session struct {
 	ID    string
 	Mode  string // "raw" or an application name
 	Chaos bool
-	Tiers int // latency tiers the session's machine was built with (0 = untiered)
-	Harts int // harts the session's machine was built with (0 or 1 = single-hart)
+	Tiers int // latency tiers of the session's machine (0 = untiered)
+	Harts int // harts of the session's machine (0 = single-hart)
 
 	shard atomic.Int32
 
@@ -54,7 +53,6 @@ type Session struct {
 	// but the session-info replies read it without the lock.
 	rawOps atomic.Uint64
 
-	cfg sim.Config
 	hub *obs.Broadcaster
 	tr  *obs.Tracer
 
@@ -63,7 +61,7 @@ type Session struct {
 	// app-mode /step path deliberately does not take it: stepping can
 	// block for a long time and synchronizes through the gate alone.
 	mu        sync.Mutex
-	m         *sim.Machine // raw mode; app mode reaches it via px
+	m         *sim.Machine // the current machine; app mode's runner reaches it via px
 	closed    bool
 	arenaNext mem.Addr // raw-mode relocation cursor within the shard region
 	arenaOff  mem.Addr // cursor offset, preserved across migrations
@@ -75,27 +73,15 @@ type Session struct {
 	log     *sessLog
 	reqJSON []byte
 
-	// App mode.
+	// App mode. The agent stack wraps the proxy, so it is host state
+	// that survives live migration: the proxy forwards to whichever
+	// machine is current, and the daemon rebinds to it (see migrate).
 	g          *gate
 	px         *proxy
-	rel        *oracle.Relocator
+	stk        *memfwd.Stack
 	runnerDone chan struct{}
 	res        app.Result
 	runErr     error
-
-	// Multi-hart (app mode with Harts >= 2): the scheduling group
-	// driving relocator harts against the guest's operations. Host
-	// state, like the tier daemon: it delegates through the proxy, so it
-	// survives live migration unchanged (the proxy forwards SetHart to
-	// whichever machine is current).
-	grp *sched.Group
-
-	// Tiering (app mode with Tiers >= 2): the migrator daemon wrapping
-	// the proxy, and the heat map shared between machine and daemon.
-	// Both are host state — they survive live migration by reattaching
-	// to the swapped-in machine (see migrate).
-	td   *tier.Daemon
-	heat *obs.HeatMap
 }
 
 // newSession builds a session on the given shard. For app mode, name
@@ -146,22 +132,8 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 		}
 		cfg.Harts = req.Harts
 	}
-	s := &Session{
-		ID:    id,
-		Mode:  "raw",
-		Tiers: req.Tiers,
-		Harts: req.Harts,
-		cfg:   cfg,
-		hub:   obs.NewBroadcaster(),
-	}
-	s.shard.Store(int32(shard))
-	s.arenaNext = shardArenaBase(shard)
-	s.tr = obs.NewTracer(obs.NoClose(s.hub), 32)
-
-	m := sim.New(cfg)
-	m.SetTracer(s.tr)
+	s, _ := newRawSession(id, shard, cfg, nil, 0, 0) // a fresh machine loads nothing, so cannot fail
 	if req.Mode == "" || req.Mode == "raw" {
-		s.m = m
 		return s, nil
 	}
 
@@ -172,46 +144,22 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 	s.Mode = a.Name
 	s.Chaos = req.Chaos
 	s.g = newGate()
-	s.px = newProxy(s.g, m)
-	var gm app.Machine = s.px
-	if req.Harts > 1 {
-		grp, err := sched.New(s.px, sched.Config{
-			Harts:    req.Harts,
-			Seed:     req.SchedSeed,
-			Interval: req.SchedInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.grp = grp
-		gm = grp
-	}
-	if tc != nil {
-		h := obs.NewHeatMap(tier.HeatObjects, 0)
-		m.SetHeatMap(h)
-		s.heat = h
-		s.td = tier.New(gm, tier.Config{
-			Tiers:    tc,
-			Seed:     req.Seed,
-			Every:    req.MigrateEvery,
-			FastFrac: req.FastFrac,
-			OneShot:  req.TierStatic,
-			Heat:     h,
-		})
-		gm = s.td
-	}
+	s.px = newProxy(s.g, s.m)
+	var chaosSeed int64
 	if req.Chaos {
-		seed := req.ChaosSeed
-		if seed == 0 {
-			seed = 1
+		chaosSeed = req.ChaosSeed
+		if chaosSeed == 0 {
+			chaosSeed = 1
 		}
-		// The adversary wraps the daemon (when present): its relocations
-		// and clock run through the same interception chain the guest
-		// uses, so a chaos episode perturbs the migrator's view exactly
-		// as an external agent would.
-		s.rel = oracle.NewRelocator(gm, seed, req.ChaosInterval)
-		gm = s.rel
 	}
+	stk, err := memfwd.NewStack(s.m, s.px,
+		sched.Config{Harts: req.Harts, Seed: req.SchedSeed, Interval: req.SchedInterval},
+		tier.Config{Tiers: tc, Seed: req.Seed, Every: req.MigrateEvery, FastFrac: req.FastFrac, OneShot: req.TierStatic},
+		chaosSeed, req.ChaosInterval)
+	if err != nil {
+		return nil, err
+	}
+	s.stk = stk
 	appCfg := app.Config{
 		Opt:      req.Opt,
 		Prefetch: req.Prefetch,
@@ -229,15 +177,52 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 				}
 			}
 		}()
-		s.res = a.Run(gm, appCfg)
-		if s.grp != nil {
-			// Commit in-flight relocations so the final state (and any
-			// digest a client reads) reflects whole relocations only.
-			s.grp.Quiesce()
-		}
+		// The stack commits in-flight relocations, so the final state
+		// (and any digest a client reads) reflects whole relocations only.
+		s.res = stk.Run(a, appCfg)
 		s.px.machine().Finalize()
 	}()
 	return s, nil
+}
+
+// newRawSession makes a raw session on shard over a machine of cfg,
+// loaded from st when st is non-nil, that has run ops guest operations
+// and used arenaOff bytes of its relocation arena: the one constructor
+// under create, restore and recovery. The session reports the tiers
+// and harts of the machine's config.
+func newRawSession(id string, shard int, cfg sim.Config, st *sim.MachineState, ops uint64, arenaOff mem.Addr) (*Session, error) {
+	s := &Session{ID: id, Mode: "raw", hub: obs.NewBroadcaster()}
+	if cfg.Tiers != nil {
+		s.Tiers = len(cfg.Tiers.Latencies)
+	}
+	if cfg.Harts > 1 {
+		s.Harts = cfg.Harts
+	}
+	s.shard.Store(int32(shard))
+	s.tr = obs.NewTracer(obs.NoClose(s.hub), 32)
+	m, err := s.machine(cfg, st)
+	if err != nil {
+		return nil, err
+	}
+	s.m = m
+	s.rawOps.Store(ops)
+	s.arenaOff = arenaOff
+	s.arenaNext = shardArenaBase(shard) + arenaOff
+	return s, nil
+}
+
+// machine builds a machine of cfg, loaded from st when st is non-nil,
+// that traces into the session's hub: the one machine-from-state site,
+// under newRawSession and migrate.
+func (s *Session) machine(cfg sim.Config, st *sim.MachineState) (*sim.Machine, error) {
+	m := sim.New(cfg)
+	if st != nil {
+		if err := m.LoadState(st); err != nil {
+			return nil, err
+		}
+	}
+	m.SetTracer(s.tr)
+	return m, nil
 }
 
 // withMachine runs fn with exclusive ownership of the session's
@@ -247,13 +232,7 @@ func (s *Session) withMachine(fn func(m *sim.Machine) error) error {
 	if s.g != nil {
 		s.g.pause()
 		defer s.g.resume()
-		if s.grp != nil {
-			// In-flight relocation jobs are moves the machine state
-			// cannot capture; drive them to completion (which also parks
-			// the machine on the guest hart) before fn sees it.
-			s.grp.Quiesce()
-		}
-		return fn(s.px.machine())
+		s.stk.Quiesce()
 	}
 	return fn(s.m)
 }
@@ -273,30 +252,15 @@ type tierView struct {
 	FarBytes  uint64     `json:"farBytes"`
 }
 
-// tierSnapshot reads the migrator's accounting with the machine
-// quiesced (the daemon shares the runner's synchronization domain).
-// Callers hold s.mu. Returns nil for untiered and raw sessions.
-func (s *Session) tierSnapshot() *tierView {
-	if s.td == nil {
+// tierState reads the migrator's accounting. The daemon shares the
+// runner's synchronization domain, so callers own the machine
+// (withMachine). Returns nil for untiered and raw sessions.
+func (s *Session) tierState() *tierView {
+	if s.stk == nil || s.stk.Daemon == nil {
 		return nil
 	}
-	var v tierView
-	s.withMachine(func(m *sim.Machine) error { //nolint:errcheck // fn returns nil
-		v = tierView{Stats: s.td.Stats(), NearBytes: s.td.NearLive(), FarBytes: s.td.FarLive()}
-		return nil
-	})
-	return &v
-}
-
-// digest computes the heap digest modulo forwarding. Callers hold s.mu.
-func (s *Session) digest() (uint64, error) {
-	var d uint64
-	err := s.withMachine(func(m *sim.Machine) error {
-		var err error
-		d, err = oracle.DigestModuloForwarding(m.Mem, m.Fwd, m.Alloc)
-		return err
-	})
-	return d, err
+	d := s.stk.Daemon
+	return &tierView{Stats: d.Stats(), NearBytes: d.NearLive(), FarBytes: d.FarLive()}
 }
 
 // save captures the session's machine state. Callers hold s.mu.
@@ -316,24 +280,20 @@ func (s *Session) save() *sim.MachineState {
 // offset, so relocation targets never repeat). Callers hold s.mu.
 func (s *Session) migrate(to int) error {
 	return s.withMachine(func(m *sim.Machine) error {
-		nm := sim.New(s.cfg)
-		if err := nm.LoadState(m.SaveState()); err != nil {
+		nm, err := s.machine(m.Config(), m.SaveState())
+		if err != nil {
 			return fmt.Errorf("serve: migrate %s: %w", s.ID, err)
 		}
-		nm.SetTracer(s.tr)
-		if s.heat != nil {
-			nm.SetHeatMap(s.heat)
-		}
+		nm.SetHeatMap(m.HeatMap())
+		s.m = nm
 		if s.g != nil {
 			s.px.swap(nm)
-		} else {
-			s.m = nm
-		}
-		if s.td != nil {
-			// The daemon's policy state is host state and persists; the
-			// allocator (and its placement hook) is machine state and
-			// must be re-cached from the swapped-in machine.
-			s.td.Rebind()
+			if s.stk.Daemon != nil {
+				// The daemon's policy state is host state and persists;
+				// the allocator (and its placement hook) is machine state
+				// and must be re-cached from the swapped-in machine.
+				s.stk.Daemon.Rebind()
+			}
 		}
 		s.shard.Store(int32(to))
 		s.arenaNext = shardArenaBase(to) + s.arenaOff

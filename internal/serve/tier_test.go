@@ -138,3 +138,49 @@ func TestTieredRawSessionAndValidation(t *testing.T) {
 		t.Fatalf("raw session exposes a migrator: %+v", st.Tier)
 	}
 }
+
+// TestRestoreReportsMachineShape: a restored session reports the tiers
+// and harts of the machine it restores, whatever the session it came
+// from was created with, and so does the same session rebuilt by store
+// recovery, which sees only its machine state. A multi-hart app
+// snapshot restores as a raw multi-hart machine.
+func TestRestoreReportsMachineShape(t *testing.T) {
+	st := openTestStore(t, StoreConfig{})
+	sv := startServer(t, Config{Shards: 2, Store: st})
+	var raw, app sessionInfo
+	call(t, sv, "POST", "/sessions", createRequest{Tiers: 2}, &raw)
+	call(t, sv, "POST", "/sessions", createRequest{Mode: "health", Harts: 2, Tiers: 3}, &app)
+	if raw.Tiers != 2 || app.Tiers != 3 || app.Harts != 2 {
+		t.Fatalf("created %+v and %+v", raw, app)
+	}
+	call(t, sv, "POST", "/sessions/"+app.ID+"/step", map[string]int64{"ops": 20_000}, nil)
+
+	var restored []sessionInfo
+	for _, from := range []sessionInfo{raw, app} {
+		var snap struct {
+			Snapshot string `json:"snapshot"`
+		}
+		call(t, sv, "POST", "/sessions/"+from.ID+"/snapshot", struct{}{}, &snap)
+		var got sessionInfo
+		call(t, sv, "POST", "/restore", map[string]string{"snapshot": snap.Snapshot}, &got)
+		if got.Mode != "raw" || got.Tiers != from.Tiers || got.Harts != from.Harts {
+			t.Fatalf("restore of %+v reports %+v", from, got)
+		}
+		restored = append(restored, got)
+	}
+
+	sv2 := New(Config{Shards: 2, Store: openTestStore(t, StoreConfig{Dir: st.Dir()})})
+	t.Cleanup(func() { sv2.Close() })
+	if rep, err := sv2.Recover(); err != nil || rep.Damaged != 0 {
+		t.Fatalf("recover: %+v, %v", rep, err)
+	}
+	for _, want := range restored {
+		s, ok := sv2.session(want.ID)
+		if !ok {
+			t.Fatalf("restored session %s not recovered", want.ID)
+		}
+		if got := sv2.info(s); got.Tiers != want.Tiers || got.Harts != want.Harts {
+			t.Fatalf("recovered %+v, want the shape of %+v", got, want)
+		}
+	}
+}
