@@ -68,10 +68,9 @@ type Stats struct {
 }
 
 // hartSwitcher is the optional per-hart timing capability, found by
-// app.As down the inner chain: sim.Machine, or the serve proxy, which
-// forwards to whichever machine live migration last swapped in. Absent
-// — the functional oracle — service steps still run, just without
-// per-hart timing attribution.
+// app.As down the inner chain: sim.Machine's own. Absent — the
+// functional oracle — service steps still run, just without per-hart
+// timing attribution.
 type hartSwitcher interface {
 	SetHart(i int)
 	HartCount() int

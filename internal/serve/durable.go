@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"memfwd/internal/mem"
 	"memfwd/internal/sim"
 )
 
@@ -238,7 +237,7 @@ func (sv *Server) execOps(s *Session, batch []opRequest) ([]opResult, error) {
 // execDurableOp runs one op, journaling it when the session is
 // durable. Returns (result, guest error, storage error).
 func (sv *Server) execDurableOp(s *Session, op opRequest) (opResult, error, error) {
-	if op.Op == "relocate" && s.log != nil {
+	if op.Op == "relocate" {
 		return sv.execDurableRelocate(s, op)
 	}
 	res, err := s.execOp(op)
@@ -257,23 +256,23 @@ func (sv *Server) execDurableOp(s *Session, op opRequest) (opResult, error, erro
 	return res, nil, nil
 }
 
-// execDurableRelocate is the two-record relocation protocol: intent
-// before any state changes, commit after TryRelocate resolves.
+// execDurableRelocate is the one relocation path of a raw session, and
+// the two-record relocation protocol: intent before any state changes,
+// commit after TryRelocate resolves. A memory-only session runs it too;
+// its log appends are no-ops.
 func (sv *Server) execDurableRelocate(s *Session, op opRequest) (opResult, error, error) {
 	var res opResult
-	src, words, bytes, perr := s.relocatePlan(op)
+	src, words, perr := s.relocatePlan(op)
 	if perr != nil {
 		return res, perr, nil
 	}
-	tgt := s.arenaNext
-	intent := &walRecord{kind: recIntent, src: uint64(src), tgt: uint64(tgt), words: words}
+	intent := &walRecord{kind: recIntent, src: uint64(src), tgt: uint64(s.arenaNext), words: words}
 	if serr := sv.logAppend(s, intent); serr != nil {
 		// Aborted pre-execution: the cursor never moved and no machine
 		// state changed, matching what recovery will reconstruct.
 		return res, nil, serr
 	}
-	s.arenaNext += mem.Addr(bytes)
-	s.arenaOff += mem.Addr(bytes)
+	tgt := s.reserveArena(words)
 	rerr := s.tryRelocate(src, tgt, words)
 	commit := &walRecord{kind: recCommit, tgt: uint64(tgt), ok: rerr == nil}
 	if serr := sv.logAppend(s, commit); serr != nil {

@@ -5,20 +5,22 @@
 // primitive is the full machine snapshot (sim.SaveState/LoadState):
 // because the entire architectural and micro-architectural state of a
 // machine can be captured byte-exactly and re-instantiated elsewhere,
-// a session can be suspended mid-run — even mid-chaos-episode — moved
-// to another shard, and resumed with bit-identical behaviour.
+// a session can be captured mid-run — even mid-chaos-episode — and
+// restored on any shard with bit-identical behaviour. Every shard
+// lives in this process, so live migration moves no machine state: it
+// relabels the session's shard and re-bases its relocation cursor.
 //
 // Concurrency model, in one paragraph: every session's machine is
 // touched by exactly one goroutine at a time. Raw sessions serialize
 // guest operations under the session mutex. App sessions run the
 // application on a dedicated runner goroutine that executes against a
-// rebindable machine proxy; the proxy charges every guest operation
-// against a budget gate, so the runner only ever advances when a
-// client has granted budget via /step, and parks between operations
-// otherwise. Control-plane work (digest, snapshot, migration) first
-// parks the runner at an operation boundary (gate.pause), does its
-// work, and lets the runner continue — the gate's mutex provides the
-// happens-before edge that makes the machine hand-off race-clean.
+// machine proxy; the proxy charges every guest operation against a
+// budget gate, so the runner only ever advances when a client has
+// granted budget via /step, and parks between operations otherwise.
+// Control-plane work that reads the machine (digest, snapshot, stats)
+// first parks the runner at an operation boundary (gate.pause), does
+// its work, and lets the runner continue — the gate's mutex provides
+// the happens-before edge that makes the machine hand-off race-clean.
 package serve
 
 import "sync"

@@ -55,9 +55,8 @@ func TestSnapshotMigrateMidChaos(t *testing.T) {
 
 			// Step in growing quanta, bouncing the session to a new
 			// shard between grants. Growing quanta keep the round count
-			// (and so the per-migration full-state copy cost) bounded
-			// for long apps while guaranteeing short apps still migrate
-			// several times.
+			// bounded for long apps while guaranteeing short apps still
+			// migrate several times.
 			var (
 				quantum    int64 = 1024
 				migrations int
@@ -123,7 +122,7 @@ func TestSnapshotMigrateMidChaos(t *testing.T) {
 				t.Errorf("only %d migrations; app too short for the proof", migrations)
 			}
 
-			fm := s.px.machine() // runner already finalized it on the way out
+			fm := s.m // runner already finalized it on the way out
 			gotDig, err := oracle.DigestModuloForwarding(fm.Mem, fm.Fwd, fm.Alloc)
 			if err != nil {
 				t.Fatalf("served digest: %v", err)
@@ -153,5 +152,34 @@ func TestSnapshotMigrateMidChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestMigrateAllocatesNothing pins what a migration costs: the session
+// keeps its machine, so re-homing a memory-only raw session with a
+// populated heap allocates nothing.
+func TestMigrateAllocatesNothing(t *testing.T) {
+	sv := New(Config{Shards: 2})
+	s, err := sv.createSession(createRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	res, err := sv.execOps(s, []opRequest{{Op: "malloc", Size: 4096}})
+	if err == nil {
+		_, err = sv.execOps(s, []opRequest{{Op: "relocate", Addr: res[0].Addr}})
+	}
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := 0
+	if n := testing.AllocsPerRun(100, func() {
+		to ^= 1
+		if err := sv.migrateSession(s, to); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("migrateSession: %v allocs per run, want 0", n)
 	}
 }

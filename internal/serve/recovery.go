@@ -245,9 +245,7 @@ func (sv *Server) replayRaw(s *Session, recs []*walRecord, rep *RecoverReport) e
 			if rec.tgt != uint64(s.arenaNext) {
 				return fmt.Errorf("replay intent (seq %d): target %#x, cursor at %#x", rec.seq, rec.tgt, s.arenaNext)
 			}
-			bytes := (uint64(rec.words)*mem.WordSize + 0xFFF) &^ uint64(0xFFF)
-			s.arenaNext += mem.Addr(bytes)
-			s.arenaOff += mem.Addr(bytes)
+			s.reserveArena(rec.words)
 			if i+1 < len(recs) {
 				commit := recs[i+1]
 				if commit.kind != recCommit || commit.tgt != rec.tgt {

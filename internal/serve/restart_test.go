@@ -503,7 +503,7 @@ func TestDurableChaosSessionRecovery(t *testing.T) {
 		t.Fatalf("relocated count: recovered %d, twin %d", recRes.Relocated, twinRes.Relocated)
 	}
 
-	fm := rec.px.machine()
+	fm := rec.m
 	gotDig, err := oracle.DigestModuloForwarding(fm.Mem, fm.Fwd, fm.Alloc)
 	if err != nil {
 		t.Fatal(err)

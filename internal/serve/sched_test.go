@@ -17,7 +17,8 @@ import (
 // snapshotted mid-run — and still finishes with the checksum and heap
 // digest of a plain single-hart run on a private machine. Every layer
 // of interference (concurrent relocation jobs, adversary episodes,
-// quiesce-and-rebuild migration) must be invisible to the guest.
+// live migration, the snapshot's quiesce) must be invisible to the
+// guest.
 func TestMultiHartSessionMigrateMidChaos(t *testing.T) {
 	const (
 		shards    = 4
@@ -132,7 +133,7 @@ func TestMultiHartSessionMigrateMidChaos(t *testing.T) {
 				t.Errorf("only %d migrations; app too short for the proof", migrations)
 			}
 
-			fm := s.px.machine()
+			fm := s.m
 			gotDig, err := oracle.DigestModuloForwarding(fm.Mem, fm.Fwd, fm.Alloc)
 			if err != nil {
 				t.Fatalf("served digest: %v", err)

@@ -337,6 +337,10 @@ func (sv *Server) session(id string) (*Session, bool) {
 	return s, ok
 }
 
+// errClosed is the error a control-plane call on a closed session wraps;
+// the handlers answer it 410 Gone.
+var errClosed = errors.New("closed")
+
 // migrateSession re-homes s onto shard `to`.
 func (sv *Server) migrateSession(s *Session, to int) error {
 	if to < 0 || to >= len(sv.shards) {
@@ -345,12 +349,10 @@ func (sv *Server) migrateSession(s *Session, to int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("session %s is closed", s.ID)
+		return fmt.Errorf("session %s is %w", s.ID, errClosed)
 	}
 	from := int(s.shard.Load())
-	if err := s.migrate(to); err != nil {
-		return err
-	}
+	s.migrate(to)
 	if from != to {
 		sv.shards[from].active.Add(-1)
 		sv.shards[from].migratedOut.Add(1)
@@ -376,7 +378,7 @@ func (sv *Server) snapshotSession(s *Session) (string, *storedSnapshot, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return "", nil, fmt.Errorf("session %s is closed", s.ID)
+		return "", nil, fmt.Errorf("session %s is %w", s.ID, errClosed)
 	}
 	snap := &storedSnapshot{
 		st:       s.save(),
@@ -397,8 +399,8 @@ func (sv *Server) snapshotSession(s *Session) (string, *storedSnapshot, error) {
 // restoreSnapshot instantiates a stored snapshot as a new raw session
 // on the given shard (negative round-robins). App-mode snapshots also
 // restore as raw sessions: the machine state is complete, but the
-// application's control flow is host state that only travels with a
-// live migration.
+// application's control flow is host state that stays with the live
+// session.
 func (sv *Server) restoreSnapshot(snapID string, shardReq *int) (*Session, error) {
 	sv.mu.Lock()
 	snap, ok := sv.snaps[snapID]
@@ -476,8 +478,9 @@ type opResult struct {
 	Target uint64 `json:"target,omitempty"` // relocate target
 }
 
-// execOp runs one raw guest operation under s.mu. Guest-level mistakes
-// (bad free, misaligned access) surface as errors, not server panics.
+// execOp runs one raw guest operation other than relocate (see
+// execDurableRelocate) under s.mu. Guest-level mistakes (bad free,
+// misaligned access) surface as errors, not server panics.
 func (s *Session) execOp(req opRequest) (res opResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -507,18 +510,6 @@ func (s *Session) execOp(req opRequest) (res opResult, err error) {
 		res.FBit = s.m.ReadFBit(mem.Addr(req.Addr))
 	case "final":
 		res.Addr = uint64(s.m.FinalAddr(mem.Addr(req.Addr)))
-	case "relocate":
-		src, words, bytes, perr := s.relocatePlan(req)
-		if perr != nil {
-			return res, perr
-		}
-		tgt := s.arenaNext
-		s.arenaNext += mem.Addr(bytes)
-		s.arenaOff += mem.Addr(bytes)
-		if err := opt.TryRelocate(s.m, src, tgt, words); err != nil {
-			return res, err
-		}
-		res.Target = uint64(tgt)
 	case "digest":
 		d, derr := oracle.DigestModuloForwarding(s.m.Mem, s.m.Fwd, s.m.Alloc)
 		if derr != nil {
@@ -536,28 +527,37 @@ func (s *Session) execOp(req opRequest) (res opResult, err error) {
 }
 
 // relocatePlan validates a relocate request without mutating anything:
-// the source block, the word count (default: the whole block), and the
-// page-rounded arena bytes the relocation will consume. The durable
-// path needs the plan before execution so the WAL intent precedes the
-// state change.
-func (s *Session) relocatePlan(req opRequest) (src mem.Addr, words int, bytes uint64, err error) {
+// the source block and the word count (default: the whole block). The
+// plan comes before execution so the WAL intent precedes the state
+// change.
+func (s *Session) relocatePlan(req opRequest) (src mem.Addr, words int, err error) {
 	blockSize, ok := s.m.Allocator().SizeOf(mem.Addr(req.Addr))
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("relocate of non-live block %#x", req.Addr)
+		return 0, 0, fmt.Errorf("relocate of non-live block %#x", req.Addr)
 	}
 	words = req.Words
 	if words <= 0 {
 		words = int(blockSize / mem.WordSize)
 	}
 	if uint64(words)*mem.WordSize > blockSize {
-		return 0, 0, 0, fmt.Errorf("relocate of %d words exceeds block size %d", words, blockSize)
+		return 0, 0, fmt.Errorf("relocate of %d words exceeds block size %d", words, blockSize)
 	}
-	bytes = (uint64(words)*mem.WordSize + 0xFFF) &^ uint64(0xFFF)
-	return mem.Addr(req.Addr), words, bytes, nil
+	return mem.Addr(req.Addr), words, nil
 }
 
-// tryRelocate runs TryRelocate with execOp's panic containment (the
-// durable path and WAL replay call it outside execOp).
+// reserveArena advances the relocation cursor past a relocation of
+// words words, rounded up to whole pages, and returns the target it
+// reserved: the one cursor rule, under live relocation and WAL replay.
+func (s *Session) reserveArena(words int) mem.Addr {
+	tgt := s.arenaNext
+	n := mem.Addr(uint64(words)*mem.WordSize+0xFFF) &^ 0xFFF
+	s.arenaNext += n
+	s.arenaOff += n
+	return tgt
+}
+
+// tryRelocate runs TryRelocate with execOp's panic containment, for
+// the live relocation path and WAL replay.
 func (s *Session) tryRelocate(src, tgt mem.Addr, words int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -878,7 +878,11 @@ func (sv *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := sv.migrateSession(s, req.Shard); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errClosed) {
+			code = http.StatusGone
+		}
+		writeErr(w, code, "%v", err)
 		return
 	}
 	writeJSON(w, sv.info(s))

@@ -68,9 +68,9 @@ func callErr(sv *Server, method, path string, body, out any) error {
 
 // TestRawSessionEndToEnd drives the whole raw-session lifecycle over
 // real HTTP: guest operations, relocation through the production
-// two-phase commit, snapshot, restore onto a different shard, digest
-// equality across the restore, and reads through the forwarding chain
-// on the restored machine.
+// two-phase commit, a live migration, snapshot, restore onto a
+// different shard, digest equality across both, and reads through the
+// forwarding chain on the restored machine.
 func TestRawSessionEndToEnd(t *testing.T) {
 	sv := startServer(t, Config{Shards: 4})
 
@@ -102,6 +102,33 @@ func TestRawSessionEndToEnd(t *testing.T) {
 	}
 
 	var preDig opResult
+	call(t, sv, "POST", "/sessions/"+info.ID+"/op", opRequest{Op: "digest"}, &preDig)
+
+	// A migration keeps the machine and carries the arena offset: the
+	// next relocation lands in the new shard's region, right after the
+	// page the first one used.
+	s, _ := sv.session(info.ID)
+	m := s.m
+	err := callErr(sv, "POST", "/sessions/"+info.ID+"/migrate", map[string]int{"shard": 4}, nil)
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("migration to shard 4 of 4: %v, want 400", err)
+	}
+	var moved sessionInfo
+	call(t, sv, "POST", "/sessions/"+info.ID+"/migrate", map[string]int{"shard": 3}, &moved)
+	if moved.Shard != 3 || s.m != m {
+		t.Fatalf("migrated to shard %d (want 3), same machine %v", moved.Shard, s.m == m)
+	}
+	var blk3, rel3, migDig opResult
+	call(t, sv, "POST", "/sessions/"+info.ID+"/op", opRequest{Op: "digest"}, &migDig)
+	if migDig.Value != preDig.Value {
+		t.Fatalf("digest moved across migration: %#x -> %#x", preDig.Value, migDig.Value)
+	}
+	call(t, sv, "POST", "/sessions/"+info.ID+"/op", opRequest{Op: "malloc", Size: 32}, &blk3)
+	call(t, sv, "POST", "/sessions/"+info.ID+"/op", opRequest{Op: "relocate", Addr: blk3.Addr}, &rel3)
+	if want := uint64(shardArenaBase(3)) + 0x1000; rel3.Target != want {
+		t.Fatalf("post-migration relocation target %#x, want %#x", rel3.Target, want)
+	}
+	// The snapshot below holds the heap as it is now.
 	call(t, sv, "POST", "/sessions/"+info.ID+"/op", opRequest{Op: "digest"}, &preDig)
 
 	var snapped struct {
@@ -143,23 +170,34 @@ func TestRawSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSnapshotOfClosedSessionRefused: a /snapshot that looked the
-// session up just before a DELETE closed it is refused with 410, like
-// /op, and stores nothing.
+// TestSnapshotOfClosedSessionRefused: a /snapshot or /migrate that
+// looked the session up just before a DELETE closed it is refused with
+// 410, like /op, and neither stores a snapshot nor counts a migration.
 func TestSnapshotOfClosedSessionRefused(t *testing.T) {
-	sv := startServer(t, Config{Shards: 1})
+	sv := startServer(t, Config{Shards: 2})
 	var info sessionInfo
 	call(t, sv, "POST", "/sessions", createRequest{}, &info)
 	s, _ := sv.session(info.ID)
 	s.mu.Lock()
 	s.close()
 	s.mu.Unlock()
-	err := callErr(sv, "POST", "/sessions/"+info.ID+"/snapshot", struct{}{}, nil)
-	if err == nil || !strings.Contains(err.Error(), "410") {
-		t.Fatalf("snapshot of a closed session: %v, want 410", err)
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/snapshot", struct{}{}},
+		{"/migrate", map[string]int{"shard": 1}},
+	} {
+		err := callErr(sv, "POST", "/sessions/"+info.ID+c.path, c.body, nil)
+		if err == nil || !strings.Contains(err.Error(), "410") {
+			t.Fatalf("%s of a closed session: %v, want 410", c.path, err)
+		}
 	}
 	if n := sv.snapshots.Load(); n != 0 || len(sv.snaps) != 0 {
 		t.Fatalf("closed session snapshotted: %d counted, %d stored", n, len(sv.snaps))
+	}
+	if n := sv.migrations.Load(); n != 0 {
+		t.Fatalf("closed session migrated: %d counted", n)
 	}
 }
 

@@ -38,8 +38,8 @@ func shardArenaBase(shard int) mem.Addr {
 //     runner goroutine, advanced in guest-operation quanta through
 //     /step, wrapped in the agents the session asks for (memfwd.Stack).
 //
-// Either mode can be suspended, snapshotted, and migrated between
-// shards at any operation boundary.
+// Either mode can be snapshotted at any operation boundary and
+// migrated between shards at any time.
 type Session struct {
 	ID    string
 	Mode  string // "raw" or an application name
@@ -61,7 +61,7 @@ type Session struct {
 	// app-mode /step path deliberately does not take it: stepping can
 	// block for a long time and synchronizes through the gate alone.
 	mu        sync.Mutex
-	m         *sim.Machine // the current machine; app mode's runner reaches it via px
+	m         *sim.Machine // the session's machine for life; app mode's runner reaches it via px
 	closed    bool
 	arenaNext mem.Addr // raw-mode relocation cursor within the shard region
 	arenaOff  mem.Addr // cursor offset, preserved across migrations
@@ -73,9 +73,8 @@ type Session struct {
 	log     *sessLog
 	reqJSON []byte
 
-	// App mode. The agent stack wraps the proxy, so it is host state
-	// that survives live migration: the proxy forwards to whichever
-	// machine is current, and the daemon rebinds to it (see migrate).
+	// App mode: the runner drives the agent stack, which wraps the
+	// step-gate proxy over m.
 	g          *gate
 	px         *proxy
 	stk        *memfwd.Stack
@@ -99,10 +98,10 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 		}
 	}
 	// Tiering is per-session config: the tier spec goes into the
-	// machine's sim.Config (so it travels with snapshots and rebuilds
-	// identically on migration), and app sessions additionally get the
-	// migrator daemon. Raw sessions get geometry only — the daemon is an
-	// app.Machine interceptor and raw ops drive the machine directly.
+	// machine's sim.Config (so it travels with snapshots), and app
+	// sessions additionally get the migrator daemon. Raw sessions get
+	// geometry only — the daemon is an app.Machine interceptor and raw
+	// ops drive the machine directly.
 	var tc *mem.TierConfig
 	if req.Tiers != 0 {
 		if req.Tiers < 2 {
@@ -180,7 +179,7 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 		// The stack commits in-flight relocations, so the final state
 		// (and any digest a client reads) reflects whole relocations only.
 		s.res = stk.Run(a, appCfg)
-		s.px.machine().Finalize()
+		s.m.Finalize()
 	}()
 	return s, nil
 }
@@ -188,8 +187,9 @@ func newSession(id string, shard int, cfg sim.Config, req createRequest) (*Sessi
 // newRawSession makes a raw session on shard over a machine of cfg,
 // loaded from st when st is non-nil, that has run ops guest operations
 // and used arenaOff bytes of its relocation arena: the one constructor
-// under create, restore and recovery. The session reports the tiers
-// and harts of the machine's config.
+// under create, restore and recovery, and the one place a session's
+// machine is built. The session keeps that machine for life and
+// reports the tiers and harts of its config.
 func newRawSession(id string, shard int, cfg sim.Config, st *sim.MachineState, ops uint64, arenaOff mem.Addr) (*Session, error) {
 	s := &Session{ID: id, Mode: "raw", hub: obs.NewBroadcaster()}
 	if cfg.Tiers != nil {
@@ -200,29 +200,17 @@ func newRawSession(id string, shard int, cfg sim.Config, st *sim.MachineState, o
 	}
 	s.shard.Store(int32(shard))
 	s.tr = obs.NewTracer(obs.NoClose(s.hub), 32)
-	m, err := s.machine(cfg, st)
-	if err != nil {
-		return nil, err
+	s.m = sim.New(cfg)
+	if st != nil {
+		if err := s.m.LoadState(st); err != nil {
+			return nil, err
+		}
 	}
-	s.m = m
+	s.m.SetTracer(s.tr)
 	s.rawOps.Store(ops)
 	s.arenaOff = arenaOff
 	s.arenaNext = shardArenaBase(shard) + arenaOff
 	return s, nil
-}
-
-// machine builds a machine of cfg, loaded from st when st is non-nil,
-// that traces into the session's hub: the one machine-from-state site,
-// under newRawSession and migrate.
-func (s *Session) machine(cfg sim.Config, st *sim.MachineState) (*sim.Machine, error) {
-	m := sim.New(cfg)
-	if st != nil {
-		if err := m.LoadState(st); err != nil {
-			return nil, err
-		}
-	}
-	m.SetTracer(s.tr)
-	return m, nil
 }
 
 // withMachine runs fn with exclusive ownership of the session's
@@ -273,32 +261,15 @@ func (s *Session) save() *sim.MachineState {
 	return st
 }
 
-// migrate re-homes the session on shard `to`: the machine state is
-// captured, re-instantiated on a fresh machine, and the session's
-// observability attachments and relocation cursor move with it (the
-// cursor re-bases into the target shard's arena region at its current
-// offset, so relocation targets never repeat). Callers hold s.mu.
-func (s *Session) migrate(to int) error {
-	return s.withMachine(func(m *sim.Machine) error {
-		nm, err := s.machine(m.Config(), m.SaveState())
-		if err != nil {
-			return fmt.Errorf("serve: migrate %s: %w", s.ID, err)
-		}
-		nm.SetHeatMap(m.HeatMap())
-		s.m = nm
-		if s.g != nil {
-			s.px.swap(nm)
-			if s.stk.Daemon != nil {
-				// The daemon's policy state is host state and persists;
-				// the allocator (and its placement hook) is machine state
-				// and must be re-cached from the swapped-in machine.
-				s.stk.Daemon.Rebind()
-			}
-		}
-		s.shard.Store(int32(to))
-		s.arenaNext = shardArenaBase(to) + s.arenaOff
-		return nil
-	})
+// migrate re-homes the session on shard `to`. Every shard lives in
+// this process, so the machine stays where it is: the session takes the
+// new shard, and the raw relocation cursor re-bases into that shard's
+// arena region at its current offset, so relocation targets never
+// repeat. Neither write touches machine state, so an app session's
+// runner and relocator harts keep running. Callers hold s.mu.
+func (s *Session) migrate(to int) {
+	s.shard.Store(int32(to))
+	s.arenaNext = shardArenaBase(to) + s.arenaOff
 }
 
 // close tears the session down: the runner (if any) is unwound, the

@@ -429,18 +429,6 @@ func New(inner app.Machine, cfg Config) *Daemon {
 // answers latency lookups.
 func (d *Daemon) Tiers() *mem.Tiers { return d.tiers }
 
-// Rebind re-caches the wrapped machine's allocator and re-installs the
-// placement and tracking hooks on it. For hosts that swap the
-// underlying machine out from under the interception chain (the
-// session server's live migration): the daemon — residency map, window
-// cursors, ranking state — is host state and persists across the swap,
-// but the allocator is machine state and does not. Call with the
-// machine quiesced, after the swap.
-func (d *Daemon) Rebind() {
-	d.al = d.Machine.Allocator()
-	d.al.Place, d.al.Track = d.place, d.track
-}
-
 // Stats returns a copy of the daemon's accounting.
 func (d *Daemon) Stats() Stats {
 	s := d.stats
