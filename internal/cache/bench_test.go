@@ -51,3 +51,21 @@ func TestAccessHitZeroAlloc(t *testing.T) {
 		t.Fatalf("hit-path Access allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// A demand miss that walks L1, L2 and main memory (victim choice,
+// writebacks, MSHR allocation) must not allocate either.
+func TestAccessMissToMemoryZeroAlloc(t *testing.T) {
+	l1, l2, _ := testHierarchy(32)
+	now, i := int64(0), uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		now, _ = l1.Access(i*32, Store, now) // a fresh line each time: misses at both levels
+	})
+	benchReady = now
+	if allocs != 0 {
+		t.Fatalf("miss-path Access allocated %.1f times per run, want 0", allocs)
+	}
+	if l2.Stats.FullMisses[Load] < 1000 {
+		t.Fatalf("L2 full misses = %d, want every access to reach memory", l2.Stats.FullMisses[Load])
+	}
+}

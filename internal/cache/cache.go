@@ -14,6 +14,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"memfwd/internal/obs"
 )
@@ -52,16 +53,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Backend is the next level down: it can fill a line and absorb a
-// writeback. MainMemory terminates the chain.
-type Backend interface {
-	// Fetch requests the line containing lineAddr at cycle now and
-	// returns the cycle its data arrives at the requesting level.
-	Fetch(lineAddr uint64, now int64) int64
-	// WriteBack hands a dirty line down at cycle now.
-	WriteBack(lineAddr uint64, now int64)
-}
-
 // Config sizes one cache level.
 type Config struct {
 	Name       string
@@ -96,33 +87,50 @@ type Stats struct {
 // Misses returns partial+full misses for kind k.
 func (s *Stats) Misses(k Kind) uint64 { return s.PartialMisses[k] + s.FullMisses[k] }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   int64
-}
-
 type mshr struct {
 	lineAddr uint64
 	ready    int64
 	inUse    bool
 }
 
+// MaxMSHRs bounds Config.MSHRs: the set of orphaned MSHRs (see
+// outstanding) is one 64-bit mask.
+const MaxMSHRs = 64
+
 // Cache is one set-associative write-back, write-allocate level.
 type Cache struct {
-	cfg  Config
-	next Backend
-	// lines holds all sets contiguously (assoc entries per set): one
-	// flat slice keeps set selection to a single index computation with
-	// no per-set slice header chase on the hit path.
-	lines []line
+	cfg Config
+	// The level below: the next cache, or main memory when next is nil.
+	next *Cache
+	mm   *MainMemory
+
+	// The line array, split by field. All sets sit contiguously, assoc
+	// ways per set, so set selection is one index computation; a lookup
+	// reads only tags and valid, and victim choice only valid and lru
+	// (only lru once every line is valid). An invalidated line keeps
+	// its tag and LRU stamp: the snapshot encoding carries both.
+	tags  []uint64
+	valid []bool
+	dirty []bool
+	lru   []int64
+	// slot[i] is the MSHR that last filled line i. It is an index
+	// derived from the MSHR file, never encoded: Restore rebuilds it.
+	slot  []uint8
 	assoc int
+	// invalid counts invalid lines. Once every line is valid (a warm
+	// cache with no coherence invalidations), victim choice is the
+	// least recently used way and reads only lru.
+	invalid int
+
 	mshrs []mshr
+	// orphans has bit s set when MSHR s is in use but the line it
+	// filled was evicted or invalidated before the fill completed.
+	orphans uint64
 
 	setShift uint
 	setMask  uint64
 	lineMask uint64
+	xfer     int64 // cycles a fill occupies the port to the level above
 
 	clock int64 // monotone access clock for LRU
 
@@ -130,11 +138,19 @@ type Cache struct {
 	level uint8
 
 	Stats Stats
+
+	// The pad rounds the struct up to whole 64-byte host cache lines
+	// (TestCacheSizeIsWholeHostLines), so the allocator never puts two
+	// Caches on one line: caches of two machines stepped on two host
+	// CPUs at once would otherwise slow each other down on every fill.
+	_ [32]byte
 }
 
-// New builds a cache level over the given backend. It panics on
-// non-power-of-two geometry, which is a configuration bug.
-func New(cfg Config, next Backend) *Cache {
+// New builds a cache level that fills from next, or from main memory
+// mm when next is nil (the last level). It panics on non-power-of-two
+// geometry, more than MaxMSHRs MSHRs, or a missing or doubled level
+// below, which are configuration bugs.
+func New(cfg Config, next *Cache, mm *MainMemory) *Cache {
 	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize))
 	}
@@ -149,17 +165,30 @@ func New(cfg Config, next Backend) *Cache {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 8
 	}
+	if cfg.MSHRs > MaxMSHRs {
+		panic(fmt.Sprintf("cache %s: %d MSHRs exceed the maximum %d", cfg.Name, cfg.MSHRs, MaxMSHRs))
+	}
+	if (next == nil) == (mm == nil) {
+		panic(fmt.Sprintf("cache %s: needs exactly one of a next level and main memory", cfg.Name))
+	}
 	if cfg.TransferBytesPerCycle <= 0 {
 		cfg.TransferBytesPerCycle = 16
 	}
 	c := &Cache{
 		cfg:      cfg,
 		next:     next,
-		lines:    make([]line, nLines),
+		mm:       mm,
+		tags:     make([]uint64, nLines),
+		valid:    make([]bool, nLines),
+		dirty:    make([]bool, nLines),
+		lru:      make([]int64, nLines),
+		slot:     make([]uint8, nLines),
 		assoc:    cfg.Assoc,
+		invalid:  nLines,
 		mshrs:    make([]mshr, cfg.MSHRs),
 		lineMask: ^uint64(cfg.LineSize - 1),
 		setMask:  uint64(nSets - 1),
+		xfer:     int64((cfg.LineSize + cfg.TransferBytesPerCycle - 1) / cfg.TransferBytesPerCycle),
 	}
 	for s := uint(0); (1 << s) < cfg.LineSize; s++ {
 		c.setShift = s + 1
@@ -200,89 +229,173 @@ func (c *Cache) LineSize() int { return c.cfg.LineSize }
 // LineAddr returns the line-aligned address containing a.
 func (c *Cache) LineAddr(a uint64) uint64 { return a & c.lineMask }
 
-func (c *Cache) set(lineAddr uint64) []line {
-	s := int((lineAddr >> c.setShift) & c.setMask)
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
+// setBase returns the index of the first way of lineAddr's set.
+func (c *Cache) setBase(lineAddr uint64) int {
+	return int((lineAddr>>c.setShift)&c.setMask) * c.assoc
 }
 
-func (c *Cache) lookup(lineAddr uint64) *line {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return &set[i]
+// lookup returns the index of the valid line holding lineAddr, or -1.
+// Whether an access hits, and in which way, is data the host cannot
+// predict, so every way is compared without a branch; the scan runs
+// backwards so the first valid match wins, as an early exit would.
+func (c *Cache) lookup(lineAddr uint64) int {
+	base := c.setBase(lineAddr)
+	i := -1
+	for w := base + c.assoc - 1; w >= base; w-- {
+		if c.tags[w]^lineAddr|uint64(invalidBit(c.valid[w])) == 0 {
+			i = w
 		}
 	}
-	return nil
+	return i
 }
 
-// outstanding returns the MSHR tracking lineAddr if its fill has not yet
-// completed by cycle now.
+// invalidBit is 1 for an invalid line and 0 for a valid one.
+func invalidBit(valid bool) uint8 {
+	if valid {
+		return 0
+	}
+	return 1
+}
+
+// outstanding returns the MSHR whose fill of line i (holding lineAddr)
+// is still in flight at cycle now, or nil. It answers exactly what a
+// scan of the whole MSHR file in slot order would: the lowest-numbered
+// in-use entry for lineAddr decides, and if that entry has expired by
+// now it is cleared and the answer is nil (even when a later entry for
+// the same line is still in flight).
 //
-// The scan is deliberately not short-circuited by a max-ready
-// watermark: access timestamps are only approximately monotone (store
-// drains run at graduation time, loads at issue time), and the lazy
-// inUse-clearing side effects of the scan at large now values are
-// observable by later calls at smaller now values; skipping them
-// changes miss classifications.
-func (c *Cache) outstanding(lineAddr uint64, now int64) *mshr {
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if m.inUse && m.lineAddr == lineAddr {
-			if m.ready <= now {
-				m.inUse = false
-				return nil
-			}
-			return m
+// The scan's candidates are every in-use entry for lineAddr. One is the
+// entry that filled line i (slot[i]); any other is an orphan, left in
+// flight by an earlier copy of the line that was evicted or invalidated
+// before its fill completed (evict marks it). An in-use entry is never
+// anything else, because a line is only filled while absent. So the own
+// slot plus the orphans for lineAddr, lowest slot first, reproduce the
+// scan, its answer and its one side effect, at any timestamp order.
+func (c *Cache) outstanding(i int, lineAddr uint64, now int64) *mshr {
+	s := -1
+	if own := int(c.slot[i]); c.mshrs[own].inUse && c.mshrs[own].lineAddr == lineAddr {
+		s = own
+	}
+	for o := c.orphans; o != 0; o &= o - 1 {
+		k := bits.TrailingZeros64(o)
+		if s >= 0 && k > s {
+			break
+		}
+		if c.mshrs[k].lineAddr == lineAddr {
+			s = k
+			break
 		}
 	}
-	return nil
+	if s < 0 {
+		return nil
+	}
+	m := &c.mshrs[s]
+	if m.ready <= now {
+		c.free(s)
+		return nil
+	}
+	return m
 }
 
-// allocMSHR grabs a free MSHR at cycle now. If all are busy it returns
-// the stall needed until the earliest one retires (demand misses wait;
-// prefetches drop instead).
-func (c *Cache) allocMSHR(now int64) (*mshr, int64) {
+// free retires MSHR s.
+func (c *Cache) free(s int) {
+	c.mshrs[s].inUse = false
+	c.orphans &^= 1 << s
+}
+
+// allocMSHR grabs the first MSHR that is free or has expired by cycle
+// now, clearing it. If all are busy it returns -1 and the stall needed
+// until the earliest one retires (demand misses wait; prefetches drop
+// instead).
+func (c *Cache) allocMSHR(now int64) (int, int64) {
 	var earliest int64 = 1<<62 - 1
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if m.inUse && m.ready <= now {
-			m.inUse = false
-		}
+	for s := range c.mshrs {
+		m := &c.mshrs[s]
 		if !m.inUse {
-			return m, 0
+			return s, 0
+		}
+		if m.ready <= now {
+			c.free(s)
+			return s, 0
 		}
 		if m.ready < earliest {
 			earliest = m.ready
 		}
 	}
-	return nil, earliest - now
+	return -1, earliest - now
 }
 
-// fill brings lineAddr in from the next level starting at cycle now,
-// evicting as needed, and returns the arrival cycle.
-func (c *Cache) fill(lineAddr uint64, now int64, dirty bool) int64 {
-	ready := c.next.Fetch(lineAddr, now)
-	ready += int64((c.cfg.LineSize + c.cfg.TransferBytesPerCycle - 1) / c.cfg.TransferBytesPerCycle)
+// evict drops valid line i: an MSHR still filling it becomes an
+// orphan.
+func (c *Cache) evict(i int) {
+	if own := c.slot[i]; c.mshrs[own].inUse && c.mshrs[own].lineAddr == c.tags[i] {
+		c.orphans |= 1 << own
+	}
+	c.valid[i] = false
+	c.invalid++
+}
+
+// fill brings lineAddr in from the next level starting at cycle now
+// through MSHR s, evicting as needed, and returns the arrival cycle.
+func (c *Cache) fill(lineAddr uint64, now int64, dirty bool, s int) int64 {
+	var ready int64
+	if c.next != nil {
+		ready = c.next.Fetch(lineAddr, now)
+	} else {
+		ready = c.mm.Fetch(lineAddr, now)
+	}
+	ready += c.xfer
 	c.Stats.BytesFromNext += uint64(c.cfg.LineSize)
 
-	set := c.set(lineAddr)
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+	v := c.victim(c.setBase(lineAddr))
+	if c.valid[v] {
+		c.evict(v)
+		if c.dirty[v] {
+			c.Stats.WriteBacks++
+			c.Stats.BytesToNext += uint64(c.cfg.LineSize)
+			c.writeBackNext(c.tags[v], now)
 		}
 	}
-	if victim.valid && victim.dirty {
-		c.Stats.WriteBacks++
-		c.Stats.BytesToNext += uint64(c.cfg.LineSize)
-		c.next.WriteBack(victim.tag, now)
-	}
-	*victim = line{tag: lineAddr, valid: true, dirty: dirty, lru: c.clock}
+	c.invalid-- // v is valid again
+	c.tags[v] = lineAddr
+	c.valid[v] = true
+	c.dirty[v] = dirty
+	c.lru[v] = c.clock
+	c.slot[v] = uint8(s)
 	return ready
+}
+
+// victim picks the way of the set starting at base that a fill
+// replaces: the first invalid way, else the first least recently used.
+func (c *Cache) victim(base int) int {
+	v := base
+	if c.invalid == 0 {
+		best := c.lru[base]
+		for i := base + 1; i < base+c.assoc; i++ {
+			if l := c.lru[i]; l < best {
+				best, v = l, i
+			}
+		}
+		return v
+	}
+	for i := base; i < base+c.assoc; i++ {
+		if !c.valid[i] {
+			return i
+		}
+		if c.lru[i] < c.lru[v] {
+			v = i
+		}
+	}
+	return v
+}
+
+// writeBackNext hands a dirty line to the level below.
+func (c *Cache) writeBackNext(lineAddr uint64, now int64) {
+	if c.next != nil {
+		c.next.WriteBack(lineAddr, now)
+	} else {
+		c.mm.WriteBack(lineAddr, now)
+	}
 }
 
 // Access performs a demand access of the given kind to address a at
@@ -290,12 +403,12 @@ func (c *Cache) fill(lineAddr uint64, now int64, dirty bool) int64 {
 func (c *Cache) Access(a uint64, kind Kind, now int64) (ready int64, out Outcome) {
 	c.clock++
 	lineAddr := a & c.lineMask
-	if ln := c.lookup(lineAddr); ln != nil {
-		ln.lru = c.clock
+	if i := c.lookup(lineAddr); i >= 0 {
+		c.lru[i] = c.clock
 		if kind == Store {
-			ln.dirty = true
+			c.dirty[i] = true
 		}
-		if m := c.outstanding(lineAddr, now); m != nil {
+		if m := c.outstanding(i, lineAddr, now); m != nil {
 			// Tag present but fill in flight: combines with the
 			// outstanding miss (partial miss).
 			c.Stats.PartialMisses[kind]++
@@ -309,12 +422,12 @@ func (c *Cache) Access(a uint64, kind Kind, now int64) (ready int64, out Outcome
 		return now + c.cfg.HitLatency, Hit
 	}
 	// Full miss.
-	m, stall := c.allocMSHR(now)
-	if m == nil {
+	s, stall := c.allocMSHR(now)
+	if s < 0 {
 		c.Stats.MSHRStallCycles += stall
 		now += stall
-		m, _ = c.allocMSHR(now)
-		if m == nil {
+		s, _ = c.allocMSHR(now)
+		if s < 0 {
 			panic("cache: MSHR still unavailable after stall")
 		}
 	}
@@ -323,8 +436,8 @@ func (c *Cache) Access(a uint64, kind Kind, now int64) (ready int64, out Outcome
 		c.trace.Emit(obs.Event{Cycle: now, Kind: obs.KCacheMiss,
 			Level: c.level, Class: uint8(kind), Addr: lineAddr})
 	}
-	ready = c.fill(lineAddr, now+c.cfg.HitLatency, kind == Store)
-	*m = mshr{lineAddr: lineAddr, ready: ready, inUse: true}
+	ready = c.fill(lineAddr, now+c.cfg.HitLatency, kind == Store, s)
+	c.mshrs[s] = mshr{lineAddr: lineAddr, ready: ready, inUse: true}
 	return ready, FullMiss
 }
 
@@ -335,23 +448,23 @@ func (c *Cache) Access(a uint64, kind Kind, now int64) (ready int64, out Outcome
 func (c *Cache) PrefetchLine(a uint64, now int64) {
 	c.clock++
 	lineAddr := a & c.lineMask
-	if ln := c.lookup(lineAddr); ln != nil {
-		if c.outstanding(lineAddr, now) == nil {
+	if i := c.lookup(lineAddr); i >= 0 {
+		if c.outstanding(i, lineAddr, now) == nil {
 			c.Stats.Hits[Prefetch]++
 		}
 		return
 	}
-	m, _ := c.allocMSHR(now)
-	if m == nil {
+	s, _ := c.allocMSHR(now)
+	if s < 0 {
 		c.Stats.PrefetchesDropped++
 		return
 	}
 	c.Stats.FullMisses[Prefetch]++
-	ready := c.fill(lineAddr, now+c.cfg.HitLatency, false)
-	*m = mshr{lineAddr: lineAddr, ready: ready, inUse: true}
+	ready := c.fill(lineAddr, now+c.cfg.HitLatency, false, s)
+	c.mshrs[s] = mshr{lineAddr: lineAddr, ready: ready, inUse: true}
 }
 
-// Fetch lets this cache serve as the backend of the level above.
+// Fetch serves a fill for the level above.
 func (c *Cache) Fetch(lineAddr uint64, now int64) int64 {
 	ready, _ := c.Access(lineAddr, Load, now)
 	return ready
@@ -360,40 +473,39 @@ func (c *Cache) Fetch(lineAddr uint64, now int64) int64 {
 // WriteBack absorbs a dirty line from the level above.
 func (c *Cache) WriteBack(lineAddr uint64, now int64) {
 	c.clock++
-	if ln := c.lookup(lineAddr & c.lineMask); ln != nil {
-		ln.dirty = true
-		ln.lru = c.clock
+	if i := c.lookup(lineAddr & c.lineMask); i >= 0 {
+		c.dirty[i] = true
+		c.lru[i] = c.clock
 		return
 	}
 	// Victim missed here: forward straight to the next level (no
 	// write-allocate for victims, avoiding pollution).
 	c.Stats.BytesToNext += uint64(c.cfg.LineSize)
-	c.next.WriteBack(lineAddr, now)
+	c.writeBackNext(lineAddr, now)
 }
 
 // Invalidate drops the line containing a if present, returning whether
 // it was (and discarding dirty data — the coherence layer is
 // responsible for any transfer). Used by the multiprocessor extension.
 func (c *Cache) Invalidate(a uint64) bool {
-	lineAddr := a & c.lineMask
-	if ln := c.lookup(lineAddr); ln != nil {
-		ln.valid = false
-		ln.dirty = false
+	if i := c.lookup(a & c.lineMask); i >= 0 {
+		c.evict(i)
+		c.dirty[i] = false
 		return true
 	}
 	return false
 }
 
 // Present reports whether the line containing a is resident.
-func (c *Cache) Present(a uint64) bool { return c.lookup(a&c.lineMask) != nil }
+func (c *Cache) Present(a uint64) bool { return c.lookup(a&c.lineMask) >= 0 }
 
 // ForEachLine calls fn for every valid line with its line-aligned
 // address and dirty bit. Invariant checkers use it to verify that the
 // timing model only caches lines of memory that functionally exists.
 func (c *Cache) ForEachLine(fn func(lineAddr uint64, dirty bool)) {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			fn(c.lines[i].tag, c.lines[i].dirty)
+	for i, v := range c.valid {
+		if v {
+			fn(c.tags[i], c.dirty[i])
 		}
 	}
 }
@@ -401,8 +513,8 @@ func (c *Cache) ForEachLine(fn func(lineAddr uint64, dirty bool)) {
 // Contents returns the number of valid lines (test support).
 func (c *Cache) Contents() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, v := range c.valid {
+		if v {
 			n++
 		}
 	}
@@ -411,18 +523,20 @@ func (c *Cache) Contents() int {
 
 // MainMemory terminates the hierarchy: fixed access latency plus a
 // shared bus whose occupancy scales with the line size, so that long
-// lines consume real bandwidth (the effect behind Figure 6b).
+// lines consume real bandwidth (the effect behind Figure 6b). Its
+// geometry is fixed at construction.
 type MainMemory struct {
-	Latency       int64
-	BytesPerCycle int
+	latency       int64
+	bytesPerCycle int
+	lineSize      int
+	occupy        int64 // bus cycles one line transfer takes
 	busFree       int64
 
 	BytesRead    uint64
 	BytesWritten uint64
-	LineSize     int
 
-	// TierLatency, when non-nil, overrides Latency per line with the
-	// miss penalty of the memory tier owning that address
+	// TierLatency, when non-nil, overrides the flat latency per line
+	// with the miss penalty of the memory tier owning that address
 	// (mem.Tiers.LineLatency). Nil is the untiered flat-DRAM model.
 	// The hook is derived from machine configuration, not simulation
 	// state, so snapshots neither save nor restore it.
@@ -434,20 +548,24 @@ func NewMainMemory(latency int64, bytesPerCycle, lineSize int) *MainMemory {
 	if bytesPerCycle <= 0 {
 		bytesPerCycle = 8
 	}
-	return &MainMemory{Latency: latency, BytesPerCycle: bytesPerCycle, LineSize: lineSize}
+	return &MainMemory{
+		latency:       latency,
+		bytesPerCycle: bytesPerCycle,
+		lineSize:      lineSize,
+		occupy:        int64((lineSize + bytesPerCycle - 1) / bytesPerCycle),
+	}
 }
 
 func (mm *MainMemory) transfer(now int64) int64 {
-	occupy := int64((mm.LineSize + mm.BytesPerCycle - 1) / mm.BytesPerCycle)
 	start := maxI64(now, mm.busFree)
-	mm.busFree = start + occupy
-	return start + occupy
+	mm.busFree = start + mm.occupy
+	return mm.busFree
 }
 
 // Fetch returns the cycle the requested line arrives from DRAM.
 func (mm *MainMemory) Fetch(lineAddr uint64, now int64) int64 {
-	mm.BytesRead += uint64(mm.LineSize)
-	lat := mm.Latency
+	mm.BytesRead += uint64(mm.lineSize)
+	lat := mm.latency
 	if mm.TierLatency != nil {
 		lat = mm.TierLatency(lineAddr)
 	}
@@ -456,7 +574,7 @@ func (mm *MainMemory) Fetch(lineAddr uint64, now int64) int64 {
 
 // WriteBack absorbs a dirty line, occupying the bus.
 func (mm *MainMemory) WriteBack(lineAddr uint64, now int64) {
-	mm.BytesWritten += uint64(mm.LineSize)
+	mm.BytesWritten += uint64(mm.lineSize)
 	mm.transfer(now)
 }
 

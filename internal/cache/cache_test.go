@@ -3,8 +3,10 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"memfwd/internal/quickseed"
+	"memfwd/internal/wire"
 )
 
 // testHierarchy builds a small L1 -> L2 -> memory stack with easily
@@ -14,11 +16,11 @@ func testHierarchy(lineSize int) (*Cache, *Cache, *MainMemory) {
 	l2 := New(Config{
 		Name: "L2", SizeBytes: 16 * 1024, LineSize: lineSize, Assoc: 4,
 		HitLatency: 10, MSHRs: 8, TransferBytesPerCycle: 16,
-	}, mm)
+	}, nil, mm)
 	l1 := New(Config{
 		Name: "L1", SizeBytes: 1024, LineSize: lineSize, Assoc: 2,
 		HitLatency: 1, MSHRs: 4, TransferBytesPerCycle: 16,
-	}, l2)
+	}, l2, nil)
 	return l1, l2, mm
 }
 
@@ -237,6 +239,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Name: "x", SizeBytes: 1000, LineSize: 33, Assoc: 2},
 		{Name: "x", SizeBytes: 1024, LineSize: 32, Assoc: 5},
 		{Name: "x", SizeBytes: 0, LineSize: 32, Assoc: 0},
+		{Name: "x", SizeBytes: 1024, LineSize: 32, Assoc: 2, MSHRs: MaxMSHRs + 1},
 	} {
 		func() {
 			defer func() {
@@ -244,7 +247,7 @@ func TestBadGeometryPanics(t *testing.T) {
 					t.Errorf("config %+v did not panic", cfg)
 				}
 			}()
-			New(cfg, NewMainMemory(70, 8, cfg.LineSize))
+			New(cfg, nil, NewMainMemory(70, 8, cfg.LineSize))
 		}()
 	}
 }
@@ -353,7 +356,7 @@ func TestContentsCountsValidLines(t *testing.T) {
 func TestDefaultedConfigFields(t *testing.T) {
 	// MSHRs and transfer width default when zero.
 	c := New(Config{Name: "d", SizeBytes: 1024, LineSize: 32, Assoc: 2, HitLatency: 1},
-		NewMainMemory(70, 0, 32)) // bytesPerCycle also defaults
+		nil, NewMainMemory(70, 0, 32)) // bytesPerCycle also defaults
 	for i := 0; i < 12; i++ {
 		c.Access(uint64(i)*0x40, Load, 0) // would panic with 0 MSHRs
 	}
@@ -367,5 +370,35 @@ func TestPrefetchAlreadyOutstandingIsNoop(t *testing.T) {
 	l1.PrefetchLine(0x5000, 1) // same line, fill in flight
 	if l1.Stats.PrefetchesDropped != dropped || l1.Stats.FullMisses[Prefetch] != full {
 		t.Fatal("prefetch of an in-flight line should be a silent no-op")
+	}
+}
+
+// The orphan set is one 64-bit mask, so more than MaxMSHRs MSHRs is a
+// bad geometry: New panics on it (TestBadGeometryPanics) and the
+// decoder rejects a snapshot that claims it.
+func TestDecodeRejectsTooManyMSHRs(t *testing.T) {
+	for _, n := range []int{MaxMSHRs, MaxMSHRs + 1} {
+		cfg := Config{Name: "x", SizeBytes: 64, LineSize: 32, Assoc: 2, HitLatency: 1, MSHRs: n, TransferBytesPerCycle: 16}
+		s := &CacheSnapshot{cfg: cfg, tags: make([]uint64, 2), valid: make([]bool, 2),
+			dirty: make([]bool, 2), lru: make([]int64, 2), mshrs: make([]mshr, n)}
+		var w wire.Writer
+		s.EncodeWire(&w)
+		r := wire.NewReader(w.Bytes())
+		DecodeCacheSnapshot(r)
+		if err := r.Close(); (err == nil) != (n <= MaxMSHRs) {
+			t.Errorf("%d MSHRs: decode error %v", n, err)
+		}
+	}
+}
+
+// A struct that is a whole number of 64-byte lines lands in a size
+// class of whole lines, so every Cache starts a line of its own and no
+// two Caches share one (see the pad at the end of Cache).
+func TestCacheSizeIsWholeHostLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is sized for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Cache{}); n%64 != 0 {
+		t.Fatalf("Cache is %d bytes, not a whole number of 64-byte lines: resize its trailing pad", n)
 	}
 }

@@ -62,12 +62,12 @@ func (s *CacheSnapshot) EncodeWire(w *wire.Writer) {
 	w.I64(s.cfg.HitLatency)
 	w.Int(s.cfg.MSHRs)
 	w.Int(s.cfg.TransferBytesPerCycle)
-	w.U32(uint32(len(s.lines)))
-	for _, ln := range s.lines {
-		w.U64(ln.tag)
-		w.Bool(ln.valid)
-		w.Bool(ln.dirty)
-		w.I64(ln.lru)
+	w.U32(uint32(len(s.tags)))
+	for i, t := range s.tags {
+		w.U64(t)
+		w.Bool(s.valid[i])
+		w.Bool(s.dirty[i])
+		w.I64(s.lru[i])
 	}
 	w.U32(uint32(len(s.mshrs)))
 	for _, m := range s.mshrs {
@@ -115,8 +115,8 @@ func DecodeCacheSnapshot(r *wire.Reader) *CacheSnapshot {
 		r.Failf("cache: %s set count %d not a power of two", cfg.Name, nSets)
 		return s
 	}
-	if cfg.MSHRs <= 0 {
-		r.Failf("cache: %s MSHR count %d invalid", cfg.Name, cfg.MSHRs)
+	if cfg.MSHRs <= 0 || cfg.MSHRs > MaxMSHRs {
+		r.Failf("cache: %s MSHR count %d outside [1, %d]", cfg.Name, cfg.MSHRs, MaxMSHRs)
 		return s
 	}
 
@@ -125,12 +125,15 @@ func DecodeCacheSnapshot(r *wire.Reader) *CacheSnapshot {
 		r.Failf("cache: %s has %d lines, geometry needs %d", cfg.Name, nl, nLines)
 		return s
 	}
-	s.lines = make([]line, nl)
-	for i := range s.lines {
-		s.lines[i].tag = r.U64()
-		s.lines[i].valid = r.Bool()
-		s.lines[i].dirty = r.Bool()
-		s.lines[i].lru = r.I64()
+	s.tags = make([]uint64, nl)
+	s.valid = make([]bool, nl)
+	s.dirty = make([]bool, nl)
+	s.lru = make([]int64, nl)
+	for i := range s.tags {
+		s.tags[i] = r.U64()
+		s.valid[i] = r.Bool()
+		s.dirty[i] = r.Bool()
+		s.lru[i] = r.I64()
 	}
 	nm := r.Count(mshrEncBytes)
 	if r.Err() == nil && nm != cfg.MSHRs {

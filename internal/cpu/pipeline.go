@@ -20,7 +20,11 @@
 // data-dependence speculation discussion in Section 3.2.
 package cpu
 
-import "memfwd/internal/obs"
+import (
+	"math"
+
+	"memfwd/internal/obs"
+)
 
 // StallClass attributes non-graduating slots per Figure 5.
 type StallClass uint8
@@ -94,7 +98,7 @@ type inflightStore struct {
 }
 
 // Pipeline is the processor model. Create with New; feed instructions in
-// program order via Op, Load, Store, and Prefetch; then call Finalize.
+// program order via Inst, Load, Store, and Prefetch; then call Finalize.
 type Pipeline struct {
 	cfg Config
 
@@ -173,8 +177,44 @@ func (p *Pipeline) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.GaugeFunc(prefix+".dep.bypasses", func() float64 { return float64(p.Stats.DepBypasses) })
 }
 
+// take places the next instruction of a width-w stage (dispatch or
+// graduation) whose last instruction took slot used of cycle at, no
+// earlier than cycle floor. It returns the instruction's cycle, the
+// slots that cycle has used, and the slots left empty waiting for
+// floor: the rest of the current cycle and every cycle in between.
+// Whether an instruction waits is data the host cannot predict, so the
+// wait is computed without a branch.
+func take(w int, at int64, used int, floor int64) (int64, int, uint64) {
+	if used == w {
+		at++
+		used = 0
+	}
+	to := max(at, floor)
+	gap := to - at
+	empty := uint64(w-used) + uint64(gap-1)*uint64(w)
+	if gap == 0 {
+		empty = 0
+	}
+	if gap != 0 {
+		used = 0
+	}
+	return to, used + 1, empty
+}
+
+// robFloor is the earliest cycle the next instruction may dispatch at
+// for want of a ROB entry: the graduation cycle of the instruction ROB
+// entries back, once there is one.
+func robFloor(rob []int64, pos int, seen uint64) int64 {
+	floor := rob[pos]
+	if seen < uint64(len(rob)) {
+		floor = math.MinInt64
+	}
+	return floor
+}
+
 // dispatch assigns the next instruction's dispatch cycle, honouring
-// dispatch bandwidth and ROB occupancy.
+// dispatch bandwidth and ROB occupancy. It is take with the ROB floor,
+// written out so that it inlines into Load, Store and Prefetch.
 func (p *Pipeline) dispatch() int64 {
 	if p.dispUsed == p.cfg.Width {
 		p.dispCycle++
@@ -196,19 +236,10 @@ func (p *Pipeline) dispatch() int64 {
 // charging any non-graduating slots to class, and records its
 // graduation time in the ROB ring. Returns the graduation cycle.
 func (p *Pipeline) graduate(ready int64, class StallClass) int64 {
-	if p.gradUsed == p.cfg.Width {
-		p.gradCycle++
-		p.gradUsed = 0
-	}
-	if ready > p.gradCycle {
-		gap := ready - p.gradCycle
-		stall := uint64(p.cfg.Width-p.gradUsed) + uint64(gap-1)*uint64(p.cfg.Width)
-		p.Stats.Slots[class] += stall
-		p.gradCycle = ready
-		p.gradUsed = 0
-	}
+	var empty uint64
+	p.gradCycle, p.gradUsed, empty = take(p.cfg.Width, p.gradCycle, p.gradUsed, ready)
+	p.Stats.Slots[class] += empty
 	p.Stats.Slots[Busy]++
-	p.gradUsed++
 
 	p.robGrad[p.robPos] = p.gradCycle
 	p.robPos++
@@ -219,28 +250,84 @@ func (p *Pipeline) graduate(ready int64, class StallClass) int64 {
 	return p.gradCycle
 }
 
-// Bubble models a front-end stall (e.g. a mispredicted branch): the
-// dispatch stream advances n cycles with no instructions entering the
-// window. If graduation catches up, the resulting empty slots are
-// charged to the class of the next graduating instruction.
-func (p *Pipeline) Bubble(n int64) {
-	if n <= 0 {
-		return
-	}
-	p.dispCycle += n
-	p.dispUsed = 0
+// Mix is the policy a run of plain (non-memory) instructions follows:
+// every MispredictEvery-th is a mispredicted branch that executes in
+// MispredictLat cycles and then stalls the front end for
+// MispredictBubble cycles, every DepEvery-th carries a dependence-chain
+// latency of DepLat cycles, and the rest take one cycle. A mispredict
+// takes precedence when both periods land on one instruction (both
+// counters still reload). Latencies below one cycle count as one, and a
+// bubble below one cycle is none.
+type Mix struct {
+	MispredictEvery  uint32
+	MispredictLat    int64
+	MispredictBubble int64
+	DepEvery         uint32
+	DepLat           int64
 }
 
-// Op feeds one non-memory instruction with the given execution latency
-// (1 for simple ALU ops; larger values model dependence chains, branch
-// resolution, and multi-cycle ops, and show up as inst stall).
-func (p *Pipeline) Op(lat int64) {
-	if lat < 1 {
-		lat = 1
+// Inst feeds n plain instructions under mix. misp and dep count down to
+// the next mispredict and dependence event; a counter that reaches zero
+// marks its event and reloads to its period, so a live pair stays in
+// [1, MispredictEvery] and [1, DepEvery]. Inst returns both counters
+// after the n instructions. Each instruction is dispatched and
+// graduated as by dispatch and graduate, with the cursors held in
+// locals for the whole mix.
+func (p *Pipeline) Inst(n int, mix *Mix, misp, dep uint32) (uint32, uint32) {
+	if n <= 0 {
+		return misp, dep
 	}
-	d := p.dispatch()
-	p.Stats.Instructions++
-	p.graduate(d+lat, InstStall)
+	w := p.cfg.Width
+	rob := p.robGrad
+	mispLat := max(mix.MispredictLat, 1)
+	depLat := max(mix.DepLat, 1)
+	bubble := mix.MispredictBubble
+
+	dispCycle, dispUsed := p.dispCycle, p.dispUsed
+	gradCycle, gradUsed := p.gradCycle, p.gradUsed
+	robPos, robSeen := p.robPos, p.robSeen
+	var stall uint64
+	for k := 0; k < n; k++ {
+		misp--
+		dep--
+		lat := int64(1)
+		mispredict := false
+		switch {
+		case misp == 0:
+			misp = mix.MispredictEvery
+			if dep == 0 {
+				dep = mix.DepEvery
+			}
+			lat = mispLat
+			mispredict = true
+		case dep == 0:
+			dep = mix.DepEvery
+			lat = depLat
+		}
+
+		var empty uint64
+		dispCycle, dispUsed, _ = take(w, dispCycle, dispUsed, robFloor(rob, robPos, robSeen))
+		gradCycle, gradUsed, empty = take(w, gradCycle, gradUsed, dispCycle+lat)
+		stall += empty
+		rob[robPos] = gradCycle
+		robPos++
+		if robPos == len(rob) {
+			robPos = 0
+		}
+		robSeen++
+
+		if mispredict && bubble > 0 {
+			dispCycle += bubble
+			dispUsed = 0
+		}
+	}
+	p.dispCycle, p.dispUsed = dispCycle, dispUsed
+	p.gradCycle, p.gradUsed = gradCycle, gradUsed
+	p.robPos, p.robSeen = robPos, robSeen
+	p.Stats.Instructions += uint64(n)
+	p.Stats.Slots[Busy] += uint64(n)
+	p.Stats.Slots[InstStall] += stall
+	return misp, dep
 }
 
 // LoadInfo reports the timing of one load for latency statistics.

@@ -1,11 +1,59 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
 	"memfwd/internal/quickseed"
+	"memfwd/internal/wire"
 )
+
+// Op feeds one non-memory instruction with the given execution latency
+// (values below 1 count as 1). Op and Bubble are the per-instruction
+// reference that Inst fuses; instRef below composes them.
+func (p *Pipeline) Op(lat int64) {
+	if lat < 1 {
+		lat = 1
+	}
+	d := p.dispatch()
+	p.Stats.Instructions++
+	p.graduate(d+lat, InstStall)
+}
+
+// Bubble models a front-end stall (e.g. a mispredicted branch): the
+// dispatch stream advances n cycles with no instructions entering the
+// window. Non-positive n is a no-op.
+func (p *Pipeline) Bubble(n int64) {
+	if n <= 0 {
+		return
+	}
+	p.dispCycle += n
+	p.dispUsed = 0
+}
+
+// instRef is Inst one instruction at a time through Op and Bubble.
+func (p *Pipeline) instRef(n int, mix *Mix, misp, dep uint32) (uint32, uint32) {
+	for i := 0; i < n; i++ {
+		misp--
+		dep--
+		switch {
+		case misp == 0:
+			misp = mix.MispredictEvery
+			if dep == 0 {
+				dep = mix.DepEvery
+			}
+			p.Op(mix.MispredictLat)
+			p.Bubble(mix.MispredictBubble)
+		case dep == 0:
+			dep = mix.DepEvery
+			p.Op(mix.DepLat)
+		default:
+			p.Op(1)
+		}
+	}
+	return misp, dep
+}
 
 func fixedLat(lat int64) func(int64) int64 {
 	return func(issue int64) int64 { return issue + lat }
@@ -317,5 +365,66 @@ func TestNowAdvances(t *testing.T) {
 	}
 	if p.Now() <= before {
 		t.Fatal("Now did not advance")
+	}
+}
+
+// TestInstMatchesPerInstructionReference holds the fused Inst loop to
+// instRef, the same mix one Op and Bubble at a time. Each trial draws a
+// pipeline shape, a mix (latencies and bubbles below one included) and
+// starting counters anywhere in their range, then interleaves runs of
+// 0–64 instructions with long-latency loads and slow store drains, so
+// the ROB bound and the store buffer bind. Stats, counters and the
+// encoded pipeline state must agree after every call.
+func TestInstMatchesPerInstructionReference(t *testing.T) {
+	rng := quickseed.Rand(t)
+	mixes := []Mix{
+		{MispredictEvery: 48, MispredictLat: 2, MispredictBubble: 5, DepEvery: 6, DepLat: 2},
+		{MispredictEvery: 1, MispredictLat: 1, DepEvery: 1, DepLat: 1},
+	}
+	for trial := 0; trial < 300; trial++ {
+		mix := Mix{
+			MispredictEvery:  uint32(rng.Intn(64) + 1),
+			MispredictLat:    rng.Int63n(6) - 1,
+			MispredictBubble: rng.Int63n(10) - 2,
+			DepEvery:         uint32(rng.Intn(12) + 1),
+			DepLat:           rng.Int63n(6) - 1,
+		}
+		if trial < len(mixes) {
+			mix = mixes[trial]
+		}
+		cfg := Config{Width: rng.Intn(4) + 1, ROB: rng.Intn(64) + 2, StoreBuffer: rng.Intn(8) + 1, DepPenalty: 16}
+		fused, ref := New(cfg), New(cfg)
+		misp := uint32(rng.Intn(int(mix.MispredictEvery))) + 1
+		dep := uint32(rng.Intn(int(mix.DepEvery))) + 1
+		for call := 0; call < 200; call++ {
+			a := uint64(rng.Intn(64)) * 8
+			switch k := rng.Intn(5); k {
+			case 0:
+				lat := fixedLat(rng.Int63n(400))
+				fused.Load(r(a, 8), r(a, 8), 0, lat)
+				ref.Load(r(a, 8), r(a, 8), 0, lat)
+			case 1:
+				lat := fixedLat(rng.Int63n(200))
+				fused.Store(r(a, 8), r(a, 8), lat)
+				ref.Store(r(a, 8), r(a, 8), lat)
+			default:
+				n := rng.Intn(65)
+				gm, gd := fused.Inst(n, &mix, misp, dep)
+				wm, wd := ref.instRef(n, &mix, misp, dep)
+				if gm != wm || gd != wd {
+					t.Fatalf("trial %d call %d: Inst(%d) counters (%d, %d), want (%d, %d)", trial, call, n, gm, gd, wm, wd)
+				}
+				misp, dep = gm, gd
+			}
+			if fused.Stats != ref.Stats {
+				t.Fatalf("trial %d call %d: stats\n got %+v\nwant %+v", trial, call, fused.Stats, ref.Stats)
+			}
+			var got, want wire.Writer
+			fused.Snapshot().EncodeWire(&got)
+			ref.Snapshot().EncodeWire(&want)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("trial %d call %d: pipeline state differs", trial, call)
+			}
+		}
 	}
 }

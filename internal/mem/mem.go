@@ -185,13 +185,65 @@ func (m *Memory) ReadData(a Addr, size uint) (uint64, error) {
 	if err := checkAlign(a, size); err != nil {
 		return 0, err
 	}
-	w := m.ReadWord(WordAlign(a))
+	return extract(m.ReadWord(WordAlign(a)), a, size), nil
+}
+
+// ReadUnforwarded is ReadData for a reference that needs no forwarding:
+// when a is naturally aligned for size and the forwarding bit of its
+// word is clear, it returns the value and true from one page lookup.
+// Otherwise it reads nothing and returns false, and the caller resolves
+// the reference the long way (whose errors it then reports).
+func (m *Memory) ReadUnforwarded(a Addr, size uint) (uint64, bool) {
+	if checkAlign(a, size) != nil {
+		return 0, false
+	}
+	p := m.lookup(a)
+	if p == nil {
+		return 0, true
+	}
+	i := wordIndex(a)
+	if p.fbit(i) {
+		return 0, false
+	}
+	return extract(p.words[i], a, size), true
+}
+
+// WriteUnforwarded is WriteData for a reference that needs no
+// forwarding: when a is naturally aligned for size and the forwarding
+// bit of its word is clear, it writes the value from one page lookup and
+// returns true. Otherwise it writes nothing and returns false.
+func (m *Memory) WriteUnforwarded(a Addr, v uint64, size uint) bool {
+	if checkAlign(a, size) != nil {
+		return false
+	}
+	p := m.page(a)
+	i := wordIndex(a)
+	if p.fbit(i) {
+		return false
+	}
+	p.words[i] = insert(p.words[i], a, v, size)
+	return true
+}
+
+// extract returns the size bytes at a from its word w, zero-extended.
+func extract(w uint64, a Addr, size uint) uint64 {
 	if size == 8 {
-		return w, nil
+		return w
 	}
 	shift := WordOffset(a) * 8
 	mask := (uint64(1) << (size * 8)) - 1
-	return (w >> shift) & mask, nil
+	return (w >> shift) & mask
+}
+
+// insert returns w with the size bytes at a replaced by the low bytes
+// of v.
+func insert(w uint64, a Addr, v uint64, size uint) uint64 {
+	if size == 8 {
+		return v
+	}
+	shift := WordOffset(a) * 8
+	mask := ((uint64(1) << (size * 8)) - 1) << shift
+	return (w &^ mask) | ((v << shift) & mask)
 }
 
 // WriteData writes the low size bytes of v at a with no forwarding
@@ -201,15 +253,9 @@ func (m *Memory) WriteData(a Addr, v uint64, size uint) error {
 	if err := checkAlign(a, size); err != nil {
 		return err
 	}
-	wa := WordAlign(a)
-	if size == 8 {
-		m.WriteWord(wa, v)
-		return nil
-	}
-	shift := WordOffset(a) * 8
-	mask := ((uint64(1) << (size * 8)) - 1) << shift
-	old := m.ReadWord(wa)
-	m.WriteWord(wa, (old&^mask)|((v<<shift)&mask))
+	p := m.page(a)
+	i := wordIndex(a)
+	p.words[i] = insert(p.words[i], a, v, size)
 	return nil
 }
 

@@ -312,3 +312,44 @@ func TestPagesTouchedCountsDistinctPages(t *testing.T) {
 		t.Fatalf("read materialized a page: %d", m.PagesTouched())
 	}
 }
+
+// ReadUnforwarded and WriteUnforwarded are ReadData and WriteData for a
+// word whose forwarding bit is clear, from one page lookup; a set bit or
+// an unaligned reference reports false and touches nothing, so the
+// caller takes the long way and reports its errors.
+func TestUnforwardedAccessMatchesDataAccess(t *testing.T) {
+	m := New()
+	const a = Addr(0x4000)
+	if v, ok := m.ReadUnforwarded(a+4, 4); !ok || v != 0 || m.PagesTouched() != 0 {
+		t.Fatalf("untouched page: (%d, %v), %d pages", v, ok, m.PagesTouched())
+	}
+	for _, size := range []uint{1, 2, 4, 8} {
+		off := Addr(8 - size)
+		if !m.WriteUnforwarded(a+off, 0x1122334455667788, size) {
+			t.Fatalf("size %d: clear word refused", size)
+		}
+		want, err := m.ReadData(a+off, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := m.ReadUnforwarded(a+off, size); !ok || v != want {
+			t.Fatalf("size %d: read (%#x, %v), ReadData %#x", size, v, ok, want)
+		}
+	}
+	if _, ok := m.ReadUnforwarded(a+1, 2); ok {
+		t.Fatal("unaligned read accepted")
+	}
+	if m.WriteUnforwarded(a+1, 1, 2) || m.WriteUnforwarded(0x9001, 1, 4) {
+		t.Fatal("unaligned write accepted")
+	}
+	if m.Touched(0x9000) {
+		t.Fatal("refused write materialized a page")
+	}
+	m.WriteWordFBit(a, 0x5000, true)
+	if _, ok := m.ReadUnforwarded(a+4, 4); ok {
+		t.Fatal("forwarded word read")
+	}
+	if m.WriteUnforwarded(a, 7, 8) || m.ReadWord(a) != 0x5000 {
+		t.Fatal("forwarded word written")
+	}
+}

@@ -156,7 +156,7 @@ func New(cfg Config) *System {
 			Name: fmt.Sprintf("P%d.L1", i), SizeBytes: cfg.L1Size,
 			LineSize: cfg.LineSize, Assoc: cfg.L1Assoc,
 			HitLatency: cfg.L1HitLat, MSHRs: 8, TransferBytesPerCycle: 16,
-		}, mm)
+		}, nil, mm)
 		s.CPUs = append(s.CPUs, &CPU{ID: i, L1: l1, Pipe: cpu.New(cpu.Config{})})
 	}
 	for _, c := range s.CPUs {
@@ -254,11 +254,14 @@ func (c *CPU) StoreWord(a mem.Addr, v uint64) {
 	})
 }
 
+// plainMix makes every plain instruction a one-cycle op: the
+// multiprocessor model has no mispredicts or dependence chains, so
+// every instruction is an "event" of latency one with no bubble.
+var plainMix = cpu.Mix{MispredictEvery: 1, MispredictLat: 1, DepEvery: 1, DepLat: 1}
+
 // Inst accounts n plain instructions on this processor.
 func (c *CPU) Inst(n int) {
-	for i := 0; i < n; i++ {
-		c.Pipe.Op(1)
-	}
+	c.Pipe.Inst(n, &plainMix, 1, 1)
 }
 
 // Cycles finalizes every pipeline and returns the slowest processor's

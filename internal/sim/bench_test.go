@@ -111,3 +111,17 @@ func TestForwardedLoadZeroAlloc(t *testing.T) {
 		t.Fatalf("forwarded load allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// Inst(12) is malloc's and free's charge and the trap entry cost; the
+// fused loop must not allocate, including on the calls whose twelve
+// instructions cross a mispredict (every fourth call here).
+func TestInstAcrossMispredictZeroAlloc(t *testing.T) {
+	m, _ := benchMachine()
+	m.mispredictCtr = 5
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Inst(12)
+	})
+	if allocs != 0 {
+		t.Fatalf("Inst(12) allocated %.1f times per run, want 0", allocs)
+	}
+}

@@ -114,6 +114,11 @@ func DecodeState(data []byte) (st *MachineState, err error) {
 	st.l1 = cache.DecodeCacheSnapshot(r)
 	st.l2 = cache.DecodeCacheSnapshot(r)
 	st.mm = cache.DecodeMainMemorySnapshot(r)
+	if r.Err() == nil {
+		if err := st.mm.CheckGeometry(st.cfg.mainMemory()); err != nil {
+			return nil, fmt.Errorf("sim: decode state: %w", err)
+		}
+	}
 	st.pipe = cpu.DecodePipelineSnapshot(r)
 	st.sites = decodeStrings(r)
 	st.curSite = r.Int()
@@ -122,6 +127,11 @@ func DecodeState(data []byte) (st *MachineState, err error) {
 	}
 	st.mispredictCtr = r.U32()
 	st.depCtr = r.U32()
+	if r.Err() == nil {
+		if err := checkMixCounters(st.cfg, st.mispredictCtr, st.depCtr); err != nil {
+			return nil, fmt.Errorf("sim: decode state: %w", err)
+		}
+	}
 	st.prov = decodeProv(r)
 	st.provLimit = r.Int()
 	if r.Err() == nil && st.provLimit < 1 {
@@ -145,6 +155,11 @@ func DecodeState(data []byte) (st *MachineState, err error) {
 		h.l2 = cache.DecodeCacheSnapshot(r)
 		h.mispredictCtr = r.U32()
 		h.depCtr = r.U32()
+		if r.Err() == nil {
+			if err := checkMixCounters(st.cfg, h.mispredictCtr, h.depCtr); err != nil {
+				return nil, fmt.Errorf("sim: decode state: hart %d: %w", i+1, err)
+			}
+		}
 		h.prov = decodeProv(r)
 		h.stats = decodeStats(r)
 		if r.Err() != nil {
@@ -157,6 +172,20 @@ func DecodeState(data []byte) (st *MachineState, err error) {
 		return nil, fmt.Errorf("sim: decode state: %w", err)
 	}
 	return st, nil
+}
+
+// checkMixCounters rejects instruction-mix down-counters no machine
+// holds: Inst reloads each one when it reaches zero, so a live counter
+// sits in [1, its period].
+func checkMixCounters(cfg Config, misp, dep uint32) error {
+	mix := cfg.mix()
+	if misp < 1 || misp > mix.MispredictEvery {
+		return fmt.Errorf("mispredict counter %d outside [1, %d]", misp, mix.MispredictEvery)
+	}
+	if dep < 1 || dep > mix.DepEvery {
+		return fmt.Errorf("dependence counter %d outside [1, %d]", dep, mix.DepEvery)
+	}
+	return nil
 }
 
 func encodeConfig(w *wire.Writer, cfg Config) {
@@ -261,11 +290,11 @@ func decodeConfig(r *wire.Reader) Config {
 		r.Failf("sim: config Harts %d exceeds maximum %d", cfg.Harts, MaxHarts)
 		return cfg
 	}
-	if err := validateCacheGeometry("L1", cfg.L1Size, cfg.LineSize, cfg.L1Assoc); err != nil {
+	if err := validateCacheGeometry("L1", cfg.L1Size, cfg.LineSize, cfg.L1Assoc, cfg.L1MSHRs); err != nil {
 		r.Fail(err)
 		return cfg
 	}
-	if err := validateCacheGeometry("L2", cfg.L2Size, cfg.LineSize, cfg.L2Assoc); err != nil {
+	if err := validateCacheGeometry("L2", cfg.L2Size, cfg.LineSize, cfg.L2Assoc, cfg.L2MSHRs); err != nil {
 		r.Fail(err)
 		return cfg
 	}
@@ -277,7 +306,10 @@ func decodeConfig(r *wire.Reader) Config {
 
 // validateCacheGeometry mirrors cache.New's construction panics as
 // errors, checking divisors before dividing.
-func validateCacheGeometry(name string, size, lineSize, assoc int) error {
+func validateCacheGeometry(name string, size, lineSize, assoc, mshrs int) error {
+	if mshrs > cache.MaxMSHRs {
+		return fmt.Errorf("sim: config %s MSHRs %d exceed the maximum %d", name, mshrs, cache.MaxMSHRs)
+	}
 	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
 		return fmt.Errorf("sim: config %s line size %d not a positive power of two", name, lineSize)
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"memfwd/internal/cache"
 	"memfwd/internal/core"
 	"memfwd/internal/mem"
 	"memfwd/internal/wire"
@@ -195,6 +197,118 @@ func TestStateCodecRejectsBadPayload(t *testing.T) {
 	}
 	if _, err := DecodeState(wire.SealFrame(SnapshotMagic, 99, payload)); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+}
+
+// TestStateCodecRejectsForeignMainMemory: a decoded state must build
+// and load, so a main-memory snapshot whose latency, bus width or line
+// size differs from what New builds from the state's config is
+// rejected, naming the field. Bus width 0 used to decode and load, then
+// divide by zero on the first DRAM access.
+func TestStateCodecRejectsForeignMainMemory(t *testing.T) {
+	m := New(Config{LineSize: 64})
+	exerciseMachine(m)
+	st := m.SaveState()
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"latency", Config{LineSize: 64, MemLatency: 90}},
+		{"bus width", Config{LineSize: 64, MemBusBytesPerCycle: 4}},
+		{"line size", Config{LineSize: 32}},
+	} {
+		bad := *st
+		bad.mm = New(tc.cfg).MM.Snapshot()
+		data, err := EncodeState(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeState(data); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: decode error %v, want one naming the field", tc.field, err)
+		}
+	}
+
+	// Bus width 0 no New builds: patch it into the encoded bytes.
+	var w wire.Writer
+	st.mm.EncodeWire(&w)
+	mmBytes := w.Bytes()
+	data, err := EncodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := wire.OpenFrame(SnapshotMagic, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(payload, mmBytes)
+	if i < 0 || bytes.LastIndex(payload, mmBytes) != i {
+		t.Fatal("main-memory snapshot not found once in the payload")
+	}
+	p := append([]byte(nil), payload...)
+	clear(p[i+8 : i+16]) // latency, then bus width
+	if _, err := DecodeState(wire.SealFrame(SnapshotMagic, 1, p)); err == nil || !strings.Contains(err.Error(), "bus width") {
+		t.Fatalf("bus width 0: decode error %v, want one naming the bus width", err)
+	}
+}
+
+// TestStateCodecRejectsTooManyMSHRs: New cannot build a level with more
+// than cache.MaxMSHRs MSHRs, so a config that asks for one is rejected.
+func TestStateCodecRejectsTooManyMSHRs(t *testing.T) {
+	st := New(Config{LineSize: 64}).SaveState()
+	for _, set := range []func(*Config){
+		func(c *Config) { c.L1MSHRs = cache.MaxMSHRs + 1 },
+		func(c *Config) { c.L2MSHRs = cache.MaxMSHRs + 1 },
+	} {
+		bad := *st
+		set(&bad.cfg)
+		data, err := EncodeState(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeState(data); err == nil || !strings.Contains(err.Error(), "MSHRs") {
+			t.Errorf("decode error %v, want an MSHR count error", err)
+		}
+	}
+}
+
+// TestStateCodecRejectsImpossibleMixCounters: Inst reloads each
+// instruction-mix down-counter when it reaches zero, so a live machine
+// holds them in [1, 48] and [1, DepEvery]. A decoded counter outside
+// that range, on hart 0 or on any extra hart, is rejected; the range's
+// ends decode.
+func TestStateCodecRejectsImpossibleMixCounters(t *testing.T) {
+	m := New(Config{LineSize: 64, Harts: 3})
+	exerciseHarts(m, exerciseMachine(m))
+	st := m.SaveState()
+	dep := uint32(m.cfg.DepEvery)
+	for _, tc := range []struct {
+		hart      int
+		misp, dep uint32
+		ok        bool
+	}{
+		{0, 0, 1, false}, {0, mispredictEvery + 1, 1, false},
+		{0, 1, 0, false}, {0, 1, dep + 1, false},
+		{2, 0, 1, false}, {2, 1, dep + 1, false},
+		{0, 1, 1, true}, {0, mispredictEvery, dep, true}, {2, mispredictEvery, dep, true},
+	} {
+		bad := *st
+		bad.harts = append([]hartSnap(nil), st.harts...)
+		if tc.hart == 0 {
+			bad.mispredictCtr, bad.depCtr = tc.misp, tc.dep
+		} else {
+			bad.harts[tc.hart-1].mispredictCtr, bad.harts[tc.hart-1].depCtr = tc.misp, tc.dep
+		}
+		data, err := EncodeState(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeState(data)
+		if tc.ok && err != nil {
+			t.Errorf("hart %d counters (%d, %d): %v", tc.hart, tc.misp, tc.dep, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "counter")) {
+			t.Errorf("hart %d counters (%d, %d): decode error %v, want a counter range error", tc.hart, tc.misp, tc.dep, err)
+		}
 	}
 }
 

@@ -123,23 +123,14 @@ func (m *Machine) buildHarts(cfg Config) {
 	m.harts = make([]hartState, cfg.Harts)
 	m.harts[0] = hartState{pipe: m.Pipe, l1: m.L1, l2: m.L2, stats: m.stats}
 	for i := 1; i < cfg.Harts; i++ {
-		l2 := cache.New(cache.Config{
-			Name: "L2", SizeBytes: cfg.L2Size, LineSize: cfg.LineSize,
-			Assoc: cfg.L2Assoc, HitLatency: cfg.L2HitLat, MSHRs: cfg.L2MSHRs,
-			TransferBytesPerCycle: cfg.FillBytesPerCycle,
-		}, m.MM)
-		l1 := cache.New(cache.Config{
-			Name: "L1", SizeBytes: cfg.L1Size, LineSize: cfg.LineSize,
-			Assoc: cfg.L1Assoc, HitLatency: cfg.L1HitLat, MSHRs: cfg.L1MSHRs,
-			TransferBytesPerCycle: cfg.FillBytesPerCycle,
-		}, l2)
+		l1, l2 := cfg.hierarchy(m.MM)
 		m.harts[i] = hartState{
 			pipe:          cpu.New(cfg.CPU),
 			l1:            l1,
 			l2:            l2,
 			stats:         new(Stats),
-			mispredictCtr: mispredictEvery,
-			depCtr:        uint32(cfg.DepEvery),
+			mispredictCtr: m.mix.MispredictEvery,
+			depCtr:        m.mix.DepEvery,
 			ptrProv:       addrtab.New[ptrEntry](m.provLimit),
 		}
 	}

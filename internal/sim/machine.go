@@ -193,6 +193,7 @@ type Machine struct {
 	// mispredicts every 48th op, a dependence-chain latency every
 	// DepEvery-th. Counting down replaces two integer modulos on the
 	// per-instruction path with two decrements.
+	mix           cpu.Mix
 	mispredictCtr uint32
 	depCtr        uint32
 
@@ -322,22 +323,13 @@ func New(cfg Config) *Machine {
 	}
 
 	m := mem.New()
-	mm := cache.NewMainMemory(cfg.MemLatency, cfg.MemBusBytesPerCycle, cfg.LineSize)
+	mm := cfg.mainMemory()
 	var tiers *mem.Tiers
 	if cfg.Tiers != nil {
 		tiers = mem.NewTiers(cfg.Tiers)
 		mm.TierLatency = tiers.LineLatency
 	}
-	l2 := cache.New(cache.Config{
-		Name: "L2", SizeBytes: cfg.L2Size, LineSize: cfg.LineSize,
-		Assoc: cfg.L2Assoc, HitLatency: cfg.L2HitLat, MSHRs: cfg.L2MSHRs,
-		TransferBytesPerCycle: cfg.FillBytesPerCycle,
-	}, mm)
-	l1 := cache.New(cache.Config{
-		Name: "L1", SizeBytes: cfg.L1Size, LineSize: cfg.LineSize,
-		Assoc: cfg.L1Assoc, HitLatency: cfg.L1HitLat, MSHRs: cfg.L1MSHRs,
-		TransferBytesPerCycle: cfg.FillBytesPerCycle,
-	}, l2)
+	l1, l2 := cfg.hierarchy(mm)
 
 	mach := &Machine{
 		cfg:   cfg,
@@ -354,8 +346,9 @@ func New(cfg Config) *Machine {
 	}
 	mach.provLimit = provLimitFor(mach.Pipe.Config())
 	mach.ptrProv = addrtab.New[ptrEntry](mach.provLimit)
-	mach.mispredictCtr = mispredictEvery
-	mach.depCtr = uint32(cfg.DepEvery)
+	mach.mix = cfg.mix()
+	mach.mispredictCtr = mach.mix.MispredictEvery
+	mach.depCtr = mach.mix.DepEvery
 	mach.hopFn = func(wa mem.Addr, hop int) {
 		mach.hopScratch = append(mach.hopScratch, wa)
 	}
@@ -363,6 +356,26 @@ func New(cfg Config) *Machine {
 		mach.buildHarts(cfg)
 	}
 	return mach
+}
+
+// mainMemory builds the DRAM model cfg describes.
+func (cfg Config) mainMemory() *cache.MainMemory {
+	return cache.NewMainMemory(cfg.MemLatency, cfg.MemBusBytesPerCycle, cfg.LineSize)
+}
+
+// hierarchy builds one hart's private L1 and L2 over main memory mm.
+func (cfg Config) hierarchy(mm *cache.MainMemory) (l1, l2 *cache.Cache) {
+	l2 = cache.New(cache.Config{
+		Name: "L2", SizeBytes: cfg.L2Size, LineSize: cfg.LineSize,
+		Assoc: cfg.L2Assoc, HitLatency: cfg.L2HitLat, MSHRs: cfg.L2MSHRs,
+		TransferBytesPerCycle: cfg.FillBytesPerCycle,
+	}, nil, mm)
+	l1 = cache.New(cache.Config{
+		Name: "L1", SizeBytes: cfg.L1Size, LineSize: cfg.LineSize,
+		Assoc: cfg.L1Assoc, HitLatency: cfg.L1HitLat, MSHRs: cfg.L1MSHRs,
+		TransferBytesPerCycle: cfg.FillBytesPerCycle,
+	}, l2, nil)
+	return l1, l2
 }
 
 // provLimitFor sizes the provenance map's sweep trigger. Entries stay
@@ -450,33 +463,28 @@ func (m *Machine) SiteName(id int) string {
 // mispredict in Inst.
 const mispredictEvery = 48
 
+// mix is the instruction mix Inst feeds the pipeline: a mispredicted
+// branch every 48th instruction executes in 2 cycles and then refills
+// the front end for 5 before dispatch resumes, and every DepEvery-th
+// instruction takes DepLat cycles.
+func (cfg Config) mix() cpu.Mix {
+	return cpu.Mix{
+		MispredictEvery:  mispredictEvery,
+		MispredictLat:    2,
+		MispredictBubble: 5,
+		DepEvery:         uint32(cfg.DepEvery),
+		DepLat:           cfg.DepLat,
+	}
+}
+
 // Inst accounts n non-memory instructions. Most execute in one cycle;
 // every DepEvery-th carries a dependence-chain latency, and roughly
 // every 48th models a mispredicted branch — together these produce the
-// inst-stall component of Figure 5. A mispredict takes precedence when
-// both periods land on the same instruction (both counters still
-// reload, exactly as the modular arithmetic this replaces behaved).
+// inst-stall component of Figure 5 (cfg.mix). The pipeline runs the
+// whole mix in one loop; the two down-counters stay here, where the
+// snapshot keeps them.
 func (m *Machine) Inst(n int) {
-	for i := 0; i < n; i++ {
-		m.mispredictCtr--
-		m.depCtr--
-		switch {
-		case m.mispredictCtr == 0:
-			m.mispredictCtr = mispredictEvery
-			if m.depCtr == 0 {
-				m.depCtr = uint32(m.cfg.DepEvery)
-			}
-			// Branch mispredict: the front end refills for several
-			// cycles before dispatch resumes.
-			m.Pipe.Op(2)
-			m.Pipe.Bubble(5)
-		case m.depCtr == 0:
-			m.depCtr = uint32(m.cfg.DepEvery)
-			m.Pipe.Op(m.cfg.DepLat)
-		default:
-			m.Pipe.Op(1)
-		}
-	}
+	m.mispredictCtr, m.depCtr = m.Pipe.Inst(n, &m.mix, m.mispredictCtr, m.depCtr)
 	m.maybeSample()
 }
 
@@ -560,12 +568,19 @@ func clampHops(h int) int {
 }
 
 // Load performs a size-byte load (1, 2, 4, or 8) at address a, following
-// any forwarding chain, and returns the zero-extended value.
+// any forwarding chain, and returns the zero-extended value. An
+// unforwarded reference reads its word and forwarding bit from one page
+// lookup and takes no hop, so no hop callback, fault hook, trap or cycle
+// check can fire for it; only a set bit walks the chain.
 func (m *Machine) Load(a mem.Addr, size uint) uint64 {
-	final, hops := m.resolve(a)
-	v, err := m.Mem.ReadData(final, size)
-	if err != nil {
-		panic(fmt.Sprintf("sim: load %d @ %#x: %v", size, a, err))
+	final, hops := a, []mem.Addr(nil)
+	v, ok := m.Mem.ReadUnforwarded(a, size)
+	if !ok {
+		final, hops = m.resolve(a)
+		var err error
+		if v, err = m.Mem.ReadData(final, size); err != nil {
+			panic(fmt.Sprintf("sim: load %d @ %#x: %v", size, a, err))
+		}
 	}
 
 	var fwdLat int64
@@ -574,14 +589,9 @@ func (m *Machine) Load(a mem.Addr, size uint) uint64 {
 		cpu.Range{Lo: uint64(final), Hi: uint64(final) + uint64(size)},
 		m.addrReady(a),
 		func(issue int64) int64 {
-			t := issue
-			for _, wa := range hops {
-				r, _ := m.L1.Access(uint64(wa), cache.Load, t)
-				t = r + m.cfg.PerHopCost
-			}
-			fwdLat = t - issue
-			r, _ := m.L1.Access(uint64(final), cache.Load, t)
-			return r
+			start, ready := m.walk(hops, final, cache.Load, issue)
+			fwdLat = start - issue
+			return ready
 		},
 	)
 	lat := uint64(info.Ready - info.Issue)
@@ -606,11 +616,15 @@ func (m *Machine) Load(a mem.Addr, size uint) uint64 {
 }
 
 // Store performs a size-byte store at address a, following any
-// forwarding chain so the write lands on the relocated data.
+// forwarding chain so the write lands on the relocated data. Like Load,
+// an unforwarded store tests the bit and writes from one page lookup.
 func (m *Machine) Store(a mem.Addr, v uint64, size uint) {
-	final, hops := m.resolve(a)
-	if err := m.Mem.WriteData(final, v, size); err != nil {
-		panic(fmt.Sprintf("sim: store %d @ %#x: %v", size, a, err))
+	final, hops := a, []mem.Addr(nil)
+	if !m.Mem.WriteUnforwarded(a, v, size) {
+		final, hops = m.resolve(a)
+		if err := m.Mem.WriteData(final, v, size); err != nil {
+			panic(fmt.Sprintf("sim: store %d @ %#x: %v", size, a, err))
+		}
 	}
 	m.snoopStore(final)
 
@@ -621,16 +635,10 @@ func (m *Machine) Store(a mem.Addr, v uint64, size uint) {
 	m.Pipe.Store(
 		cpu.Range{Lo: uint64(a), Hi: uint64(a) + uint64(size)},
 		cpu.Range{Lo: uint64(final), Hi: uint64(final) + uint64(size)},
-		func(start int64) int64 {
-			t := start
-			for _, wa := range hops {
-				r, _ := m.L1.Access(uint64(wa), cache.Load, t)
-				t = r + m.cfg.PerHopCost
-			}
-			fwdLat = t - start
-			r, _ := m.L1.Access(uint64(final), cache.Store, t)
-			ordLat = r - t
-			return r
+		func(at int64) int64 {
+			start, done := m.walk(hops, final, cache.Store, at)
+			fwdLat, ordLat = start-at, done-start
+			return done
 		},
 	)
 	m.stats.StoreCycles += uint64(fwdLat + ordLat)
@@ -647,6 +655,19 @@ func (m *Machine) Store(a mem.Addr, v uint64, size uint) {
 		m.heat.RecordAccess(uint64(a), uint64(final), true, nHops)
 	}
 	m.maybeSample()
+}
+
+// walk is a reference's timed cache walk from cycle at: one dependent
+// L1 load per forwarding hop, each followed by the per-hop cost, then
+// the access of the given kind at the final address. It returns the
+// cycle that access starts and the cycle it completes.
+func (m *Machine) walk(hops []mem.Addr, final mem.Addr, kind cache.Kind, at int64) (start, done int64) {
+	for _, wa := range hops {
+		r, _ := m.L1.Access(uint64(wa), cache.Load, at)
+		at = r + m.cfg.PerHopCost
+	}
+	done, _ = m.L1.Access(uint64(final), kind, at)
+	return at, done
 }
 
 func (m *Machine) fireTrap(kind core.Kind, initial, final mem.Addr, hops int) {
@@ -747,15 +768,15 @@ func (m *Machine) UnforwardedWrite(a mem.Addr, v uint64, fbit bool) {
 	m.snoopStore(wa)
 	r := cpu.Range{Lo: uint64(wa), Hi: uint64(wa) + 8}
 	m.Pipe.Store(r, r, func(start int64) int64 {
-		ready, _ := m.L1.Access(uint64(wa), cache.Store, start)
-		return ready
+		_, done := m.walk(nil, wa, cache.Store, start)
+		return done
 	})
 }
 
 func (m *Machine) timedRawLoad(wa mem.Addr) {
 	r := cpu.Range{Lo: uint64(wa), Hi: uint64(wa) + 8}
 	info := m.Pipe.Load(r, r, m.addrReady(wa), func(issue int64) int64 {
-		ready, _ := m.L1.Access(uint64(wa), cache.Load, issue)
+		_, ready := m.walk(nil, wa, cache.Load, issue)
 		return ready
 	})
 	m.stats.LoadCycles += uint64(info.Ready - info.Issue)

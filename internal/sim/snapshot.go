@@ -157,7 +157,9 @@ func (m *Machine) LoadState(st *MachineState) error {
 	if err := m.L2.Restore(st.l2); err != nil {
 		return fmt.Errorf("sim: LoadState: %w", err)
 	}
-	m.MM.Restore(st.mm)
+	if err := m.MM.Restore(st.mm); err != nil {
+		return fmt.Errorf("sim: LoadState: %w", err)
+	}
 	if err := m.Pipe.Restore(st.pipe); err != nil {
 		return fmt.Errorf("sim: LoadState: %w", err)
 	}
