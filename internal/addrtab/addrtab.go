@@ -9,8 +9,8 @@ package addrtab
 // linear probing from a Fibonacci hash, doubling past 3/4 load. Delete
 // closes the hole it leaves by shifting later entries of the probe run
 // back, so the table holds no tombstones; Filter drops entries in bulk
-// and rehashes the survivors. Build one with New. Len, Cap, Get, Each
-// and Clone only read it.
+// and rehashes the survivors. Build one with New. Len, Cap, Get and
+// Each only read it.
 type Table[V any] struct {
 	slots   []slot[V]
 	scratch []slot[V] // Filter's survivors, reused so sweeps allocate nothing
@@ -150,10 +150,10 @@ func (t *Table[V]) Each(f func(k uint64, v V)) {
 	}
 }
 
-// Clone returns an independent copy of the same capacity; values are
-// copied by assignment.
-func (t *Table[V]) Clone() Table[V] {
-	return Table[V]{slots: append([]slot[V](nil), t.slots...), n: t.n, mask: t.mask, shift: t.shift}
+// Clear deletes every entry and keeps the capacity.
+func (t *Table[V]) Clear() {
+	clear(t.slots)
+	t.n = 0
 }
 
 // Pages is a Table of pages that are never removed, fronted by the page
@@ -161,9 +161,8 @@ func (t *Table[V]) Clone() Table[V] {
 // displaced most recently, so the simulator's runs of accesses to one
 // page, or alternating between a few, resolve without a probe. The
 // front holds only materialized pages and pages are never removed, so
-// an entry cannot go stale. Get and Ensure write the front; Len, Each
-// and Clone do not, so a Pages read only through them may be shared
-// between goroutines. Build one with NewPages.
+// an entry cannot go stale. Get and Ensure write the front; Len and
+// Each do not. Build one with NewPages.
 type Pages[P any] struct {
 	tab    Table[*P]
 	mruKey uint64
@@ -225,22 +224,12 @@ func (p *Pages[P]) Ensure(key uint64) *P {
 	return pg
 }
 
+// Put stores pg, not a copy of it, under key, which must hold no page
+// yet, so pages allocated together can back one table.
+func (p *Pages[P]) Put(key uint64, pg *P) { p.tab.Put(key, pg) }
+
 // Len returns the number of materialized pages.
 func (p *Pages[P]) Len() int { return p.tab.Len() }
 
 // Each calls f once for every page, in no particular order.
 func (p *Pages[P]) Each(f func(key uint64, pg *P)) { p.tab.Each(f) }
-
-// Clone returns a deep copy with an empty front. The pages are copied
-// by value into one backing array, so P must hold no pointers.
-func (p *Pages[P]) Clone() Pages[P] {
-	c := Pages[P]{tab: p.tab.Clone()}
-	pages := make([]P, 0, c.tab.n)
-	for i := range c.tab.slots {
-		if s := &c.tab.slots[i]; s.key != 0 {
-			pages = append(pages, *s.val)
-			s.val = &pages[len(pages)-1]
-		}
-	}
-	return c
-}

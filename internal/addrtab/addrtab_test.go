@@ -245,41 +245,39 @@ func TestPagesFrontReturnsOnePointer(t *testing.T) {
 	}
 }
 
-// A Clone shares no page with its source, starts with an empty front,
-// and reading the source through Clone, Each and Len leaves its front
-// untouched.
-func TestPagesCloneIsDeep(t *testing.T) {
-	p := NewPages[testPage](0)
-	for k := uint64(0); k < 40; k++ {
-		p.Ensure(k * 3)[1] = k + 100
+// Put stores the page it is given, not a copy, so pages allocated
+// together back the table, and reading the table through Each and Len
+// leaves its front untouched.
+func TestPagesPutStoresPointer(t *testing.T) {
+	backing := make([]testPage, 40)
+	p := NewPages[testPage](len(backing))
+	for k := range backing {
+		backing[k][1] = uint64(k) + 100
+		p.Put(uint64(k)*3, &backing[k])
 	}
 	p.Get(9)
 	front := [3]*testPage{p.mru, p.vic[0], p.vic[1]}
-	c := p.Clone()
 	n := 0
-	p.Each(func(uint64, *testPage) { n++ })
-	if n != p.Len() || c.Len() != p.Len() {
-		t.Fatalf("Each visited %d, clone Len %d, source Len %d", n, c.Len(), p.Len())
-	}
-	if front != [3]*testPage{p.mru, p.vic[0], p.vic[1]} {
-		t.Fatal("Clone, Each or Len wrote the source's front")
-	}
-	if c.mru != nil || c.vic != [2]*testPage{} {
-		t.Fatal("clone does not start with an empty front")
-	}
-	p.Each(func(k uint64, src *testPage) {
-		dst := c.Get(k)
-		if dst == src {
-			t.Fatalf("page %d shared between clone and source", k)
-		}
-		if *dst != *src {
-			t.Fatalf("page %d: clone %v, source %v", k, *dst, *src)
-		}
-		dst[1]++
-		if src[1] == dst[1] {
-			t.Fatalf("write to the clone's page %d reached the source", k)
+	p.Each(func(k uint64, pg *testPage) {
+		n++
+		if pg != &backing[k/3] {
+			t.Fatalf("Each(%d) gave %p, want the page Put stored", k, pg)
 		}
 	})
+	if n != len(backing) || p.Len() != len(backing) {
+		t.Fatalf("Each visited %d, Len %d, want %d", n, p.Len(), len(backing))
+	}
+	if front != [3]*testPage{p.mru, p.vic[0], p.vic[1]} {
+		t.Fatal("Each or Len wrote the front")
+	}
+	for k := range backing {
+		if got := p.Get(uint64(k) * 3); got != &backing[k] || got[1] != uint64(k)+100 {
+			t.Fatalf("Get(%d) = %p, want %p", k*3, got, &backing[k])
+		}
+	}
+	if p.Ensure(3) != &backing[1] {
+		t.Fatal("Ensure materialized a page over one Put stored")
+	}
 }
 
 // Get and Ensure of pages that exist allocate nothing, on every level

@@ -3,12 +3,11 @@ package addrtab
 import "testing"
 
 // FuzzTable runs byte programs of put, overwrite, delete, in-place
-// update, filter, clone and get over a growing set of tables and checks
+// update, filter, clear and get over a growing set of tables and checks
 // every table after every step against a Go-map model: Len, Get of
 // every model key, and an Each that visits every key exactly once with
-// its value. A clone joins the set with a copy of its source's model,
-// so a clone that shared a slot with its source diverges from one of
-// the two models at the next write.
+// its value. While the set has room, the fork instruction adds a copy
+// of a table's slots and model; once it is full, it clears the table.
 //
 // Each 3-byte instruction (op, x, y) acts on table x mod the set size.
 // Keys are y shifted by x, or counted down from the largest legal key,
@@ -89,13 +88,18 @@ func FuzzTable(f *testing.F) {
 					s.model[key] = *r
 				}
 			case 4:
-				if len(set) < 4 {
-					c := &subject{tab: s.tab.Clone(), model: make(map[uint64]uint64, len(s.model))}
-					for k, v := range s.model {
-						c.model[k] = v
-					}
-					set = append(set, c)
+				if len(set) == 4 {
+					s.tab.Clear()
+					clear(s.model)
+					break
 				}
+				c := &subject{tab: s.tab, model: make(map[uint64]uint64, len(s.model))}
+				c.tab.slots = append([]slot[uint64](nil), s.tab.slots...)
+				c.tab.scratch = nil
+				for k, v := range s.model {
+					c.model[k] = v
+				}
+				set = append(set, c)
 			}
 			for i, s := range set {
 				if s.tab.Len() != len(s.model) {

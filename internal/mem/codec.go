@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"memfwd/internal/addrtab"
 	"memfwd/internal/wire"
 )
 
@@ -21,51 +20,67 @@ import (
 // words + fbit bitmap. Used as the Count element bound.
 const pageEncBytes = 8 + PageWords*8 + PageWords/8
 
-// EncodeWire appends the snapshot's canonical encoding to w.
+// EncodeWire appends the snapshot's canonical encoding to w: every
+// page whole, as the dense page it stands for.
 func (s *MemorySnapshot) EncodeWire(w *wire.Writer) {
-	refs := sortedPages(&s.pages)
-	w.Grow(4 + len(refs)*pageEncBytes + 8)
-	w.U32(uint32(len(refs)))
-	for _, ref := range refs {
-		w.U64(uint64(ref.pn))
-		for _, word := range ref.p.words {
+	w.Grow(4 + len(s.pages)*pageEncBytes + 8)
+	w.U32(uint32(len(s.pages)))
+	words := s.words
+	for i := range s.pages {
+		var p page
+		words = s.pages[i].expand(&p, words)
+		w.U64(s.pages[i].pn)
+		for _, word := range p.words {
 			w.U64(word)
 		}
-		for _, fb := range ref.p.fbits {
+		for _, fb := range p.fbits {
 			w.U8(fb)
 		}
 	}
-	w.Int(len(refs)) // pages touched
+	w.Int(len(s.pages)) // pages touched
 }
 
-// DecodeMemorySnapshot reads a snapshot encoded by EncodeWire. Errors
-// latch on r; the returned snapshot is only valid if r reports no
-// error.
+// DecodeMemorySnapshot reads a snapshot encoded by EncodeWire straight
+// into frozen form. Errors latch on r; the returned snapshot is only
+// valid if r reports no error.
 func DecodeMemorySnapshot(r *wire.Reader) *MemorySnapshot {
 	n := r.Count(pageEncBytes)
-	s := &MemorySnapshot{pages: addrtab.NewPages[page](n)}
-	prev := Addr(0)
-	for i := 0; i < n; i++ {
-		pn := Addr(r.U64())
-		if r.Err() != nil {
+	recs := r.Raw(n * pageEncBytes)
+	s := &MemorySnapshot{pages: make([]frozenPage, n)}
+	// Two passes over the page records: the first validates them and
+	// counts the nonzero words, so the second packs those words into a
+	// slice of exactly their number.
+	pr := wire.NewReader(recs)
+	nw := 0
+	for i := range s.pages {
+		fp := &s.pages[i]
+		fp.pn = pr.U64()
+		if i > 0 && fp.pn <= s.pages[i-1].pn {
+			r.Failf("mem: page numbers out of order (%#x after %#x)", fp.pn, s.pages[i-1].pn)
 			return s
 		}
-		if i > 0 && pn <= prev {
-			r.Failf("mem: page numbers out of order (%#x after %#x)", pn, prev)
+		if fp.pn > uint64(^Addr(0)>>PageShift) {
+			r.Failf("mem: page number %#x outside the address space", fp.pn)
 			return s
 		}
-		if pn > ^Addr(0)>>PageShift {
-			r.Failf("mem: page number %#x outside the address space", pn)
-			return s
+		for w := 0; w < PageWords; w++ {
+			if pr.U64() != 0 {
+				fp.nz[w/64] |= 1 << (w % 64)
+				nw++
+			}
 		}
-		prev = pn
-		p := s.pages.Ensure(uint64(pn))
-		for j := range p.words {
-			p.words[j] = r.U64()
+		copy(fp.fbits[:], pr.Raw(len(fp.fbits)))
+	}
+	s.words = make([]uint64, 0, nw)
+	pr = wire.NewReader(recs)
+	for range s.pages {
+		pr.U64()
+		for w := 0; w < PageWords; w++ {
+			if v := pr.U64(); v != 0 {
+				s.words = append(s.words, v)
+			}
 		}
-		for j := range p.fbits {
-			p.fbits[j] = r.U8()
-		}
+		pr.Raw(PageWords / 8)
 	}
 	// Pages touched counts materialized pages and pages are never
 	// unmapped, so it must equal the page count exactly.

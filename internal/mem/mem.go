@@ -268,7 +268,7 @@ func (m *Memory) Touched(a Addr) bool { return m.lookup(a) != nil }
 // ascending order. Heap digests and whole-memory invariant sweeps use
 // it to enumerate every word that can differ from the zero-fill state.
 func (m *Memory) TouchedPages() []Addr {
-	refs := sortedPages(&m.pages)
+	refs := m.sortedPages()
 	out := make([]Addr, len(refs))
 	for i, r := range refs {
 		out[i] = r.pn << PageShift
@@ -281,7 +281,7 @@ func (m *Memory) TouchedPages() []Addr {
 // materialized page up once. Each group of eight bits is read before f
 // sees its words, so f may clear the bit of the word it is given.
 func (m *Memory) EachFBit(f func(a Addr, v uint64)) {
-	for _, r := range sortedPages(&m.pages) {
+	for _, r := range m.sortedPages() {
 		for i, b := range r.p.fbits {
 			for ; b != 0; b &= b - 1 {
 				w := i*8 + bits.TrailingZeros8(b)
@@ -297,11 +297,10 @@ type pageRef struct {
 	p  *page
 }
 
-// sortedPages lists t's pages by ascending page number. It reads t
-// without writing its front, so held snapshots may share it.
-func sortedPages(t *addrtab.Pages[page]) []pageRef {
-	refs := make([]pageRef, 0, t.Len())
-	t.Each(func(pn uint64, p *page) { refs = append(refs, pageRef{Addr(pn), p}) })
+// sortedPages lists m's pages by ascending page number.
+func (m *Memory) sortedPages() []pageRef {
+	refs := make([]pageRef, 0, m.pages.Len())
+	m.pages.Each(func(pn uint64, p *page) { refs = append(refs, pageRef{Addr(pn), p}) })
 	sort.Slice(refs, func(i, j int) bool { return refs[i].pn < refs[j].pn })
 	return refs
 }

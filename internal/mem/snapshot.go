@@ -1,41 +1,104 @@
 package mem
 
-import "memfwd/internal/addrtab"
+import (
+	"math/bits"
+	"unsafe"
+
+	"memfwd/internal/addrtab"
+)
 
 // Snapshot/Restore for the functional memory state. A snapshot is a
-// deep, process-local copy of the architectural state — materialized
-// pages (words + fbit bitmaps) for Memory, and the full heap map
-// (free/live/pinned + brk + accounting) for Allocator. It is a handle,
-// not a serialized encoding: memfwd-serve migrates sessions between
-// shards inside one process, so an in-memory deep copy is both the
+// process-local copy of the architectural state — the materialized
+// pages (words + fbit bitmaps) of Memory in a frozen, compact form, and
+// the full heap map (free/live/pinned + brk + accounting) for
+// Allocator. It is a handle, not a serialized encoding: memfwd-serve
+// holds snapshots inside one process, so an in-memory copy is both the
 // simplest and the fastest faithful format (DESIGN.md §10).
 //
-// Snapshots are immutable once taken and reusable: Restore deep-copies
-// out of the snapshot again, so one snapshot can seed any number of
-// target machines (e.g. a control replay plus a migration target).
+// Snapshots are immutable once taken and reusable: Restore copies out
+// of the snapshot again, so one snapshot can seed any number of target
+// machines (e.g. a control replay plus a migration target).
 
-// MemorySnapshot is a deep copy of a Memory's architectural state:
-// every materialized page, including the per-word forwarding-bit
-// bitmap. Restoring or encoding a snapshot never writes its page
-// front, so concurrent restores and encoders may share one.
+// MemorySnapshot is a Memory's architectural state in frozen form.
+// Every materialized page keeps its page number, its forwarding-bit
+// bitmap and a bitmap of its nonzero words, in ascending page order,
+// and the nonzero words of all pages are packed, page by page and in
+// word order, into one shared slice. A page that holds one small block
+// costs its two bitmaps and that block's words, not 4 KB. Restoring or
+// encoding a snapshot only reads it, so concurrent restores and
+// encoders may share one.
 type MemorySnapshot struct {
-	pages addrtab.Pages[page]
+	pages []frozenPage
+	words []uint64
 }
 
-// Snapshot captures a deep copy of the memory's architectural state.
+// frozenPage is one page of a MemorySnapshot.
+type frozenPage struct {
+	pn    uint64
+	fbits [PageWords / 8]uint8
+	nz    [PageWords / 64]uint64 // bit w%64 of nz[w/64] set: word w is nonzero
+}
+
+// expand writes fp's fbits and nonzero words, taken from the front of
+// words, into the zero page p and returns the words left over.
+func (fp *frozenPage) expand(p *page, words []uint64) []uint64 {
+	p.fbits = fp.fbits
+	for i, b := range fp.nz {
+		for ; b != 0; b &= b - 1 {
+			p.words[i*64+bits.TrailingZeros64(b)] = words[0]
+			words = words[1:]
+		}
+	}
+	return words
+}
+
+// Snapshot captures the memory's architectural state in frozen form.
 func (m *Memory) Snapshot() *MemorySnapshot {
-	return &MemorySnapshot{pages: m.pages.Clone()}
+	refs := m.sortedPages()
+	s := &MemorySnapshot{pages: make([]frozenPage, len(refs))}
+	n := 0
+	for i, r := range refs {
+		fp := &s.pages[i]
+		fp.pn, fp.fbits = uint64(r.pn), r.p.fbits
+		for w, v := range r.p.words {
+			if v != 0 {
+				fp.nz[w/64] |= 1 << (w % 64)
+				n++
+			}
+		}
+	}
+	s.words = make([]uint64, 0, n)
+	for _, r := range refs {
+		for _, v := range r.p.words {
+			if v != 0 {
+				s.words = append(s.words, v)
+			}
+		}
+	}
+	return s
 }
 
-// Restore replaces m's pages with a deep copy of the snapshot. The
-// writeFault hook is left alone: fault injection is wiring of the
-// target machine, not memory state.
+// Restore replaces m's pages with the snapshot's, expanded into one
+// backing array. The writeFault hook is left alone: fault injection is
+// wiring of the target machine, not memory state.
 func (m *Memory) Restore(s *MemorySnapshot) {
-	m.pages = s.pages.Clone()
+	backing := make([]page, len(s.pages))
+	m.pages = addrtab.NewPages[page](len(s.pages))
+	words := s.words
+	for i := range s.pages {
+		words = s.pages[i].expand(&backing[i], words)
+		m.pages.Put(s.pages[i].pn, &backing[i])
+	}
 }
 
 // Pages returns the number of materialized pages in the snapshot.
-func (s *MemorySnapshot) Pages() int { return s.pages.Len() }
+func (s *MemorySnapshot) Pages() int { return len(s.pages) }
+
+// Bytes returns the bytes the snapshot's frozen pages and packed words
+// occupy.
+func (s *MemorySnapshot) Bytes() int {
+	return len(s.pages)*int(unsafe.Sizeof(frozenPage{})) + len(s.words)*WordSize
+}
 
 // AllocatorSnapshot is a deep copy of an Allocator's heap state. The
 // per-size free stacks are copied slice-by-slice so LIFO reuse order —

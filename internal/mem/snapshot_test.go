@@ -2,9 +2,13 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/wire"
 )
 
@@ -157,4 +161,173 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// denseSnapshot is the reference FuzzMemorySnapshot holds
+// MemorySnapshot to: a copy of every materialized page, each page
+// copied whole, as snapshots were held before the frozen form.
+type denseSnapshot struct{ pages addrtab.Pages[page] }
+
+// denseCopy copies every page of p whole into a new table.
+func denseCopy(p *addrtab.Pages[page]) addrtab.Pages[page] {
+	c := addrtab.NewPages[page](p.Len())
+	p.Each(func(pn uint64, pg *page) { *c.Ensure(pn) = *pg })
+	return c
+}
+
+func (s *denseSnapshot) restore(m *Memory) { m.pages = denseCopy(&s.pages) }
+
+// encode writes the wire format from the dense pages: each page whole,
+// in ascending page order, then the page count.
+func (s *denseSnapshot) encode(w *wire.Writer) {
+	m := &Memory{pages: s.pages}
+	refs := m.sortedPages()
+	w.U32(uint32(len(refs)))
+	for _, r := range refs {
+		w.U64(uint64(r.pn))
+		for _, word := range r.p.words {
+			w.U64(word)
+		}
+		for _, fb := range r.p.fbits {
+			w.U8(fb)
+		}
+	}
+	w.Int(len(refs))
+}
+
+// Page bases the fuzz programs write to: a run of heap pages with a
+// gap, a relocation arena page, the page at 2^40, the first page, the
+// page below 2 GiB and the last page of the address space.
+var fuzzPages = [8]Addr{
+	0x1000_0000, 0x1000_1000, 0x1000_3000, 0x4_0000_0000,
+	1 << 40, 0, 0x7fff_f000, ^Addr(0) &^ (PageBytes - 1),
+}
+
+// sameMemory fails unless got and want have the same materialized
+// pages holding the same words and forwarding bits.
+func sameMemory(t *testing.T, what string, got, want *Memory) {
+	t.Helper()
+	gp, wp := got.TouchedPages(), want.TouchedPages()
+	if !slices.Equal(gp, wp) || got.PagesTouched() != want.PagesTouched() {
+		t.Fatalf("%s: pages %#x (%d touched), want %#x (%d touched)",
+			what, gp, got.PagesTouched(), wp, want.PagesTouched())
+	}
+	for _, pb := range wp {
+		for w := 0; w < PageWords; w++ {
+			a := pb + Addr(w*WordSize)
+			gv, gf := got.ReadWordFBit(a)
+			wv, wf := want.ReadWordFBit(a)
+			if gv != wv || gf != wf {
+				t.Fatalf("%s: word %#x = (%#x,%v), want (%#x,%v)", what, a, gv, gf, wv, wf)
+			}
+		}
+	}
+}
+
+// FuzzMemorySnapshot holds the frozen MemorySnapshot to the dense
+// reference. A program of 4-byte instructions (op, page, word, value)
+// writes nonzero words, zero words, whole pages of nonzero words, and
+// sets and clears forwarding bits over sparse and far pages; its
+// snapshot instruction takes a frozen and a dense snapshot of the
+// memory as it stands, and the end of the program takes one more.
+// Every pair must agree, after the writes that followed it, on
+// Snapshot→Restore, on the EncodeWire bytes, and on the
+// DecodeMemorySnapshot round trip, and the frozen form must occupy its
+// bitmaps plus its nonzero words only.
+func FuzzMemorySnapshot(f *testing.F) {
+	const (
+		opWord = iota
+		opZero
+		opFBitSet
+		opFBitClear
+		opFill
+		opSnap
+		nOps
+	)
+	f.Add([]byte{opFBitSet, 0, 3, 0, opSnap, 0, 0, 0, opWord, 0, 3, 7})                    // a zero word whose fbit is set
+	f.Add([]byte{opZero, 4, 9, 0, opZero, 7, 255, 0, opWord, 1, 0, 1})                     // materialized all-zero pages
+	f.Add([]byte{opFill, 3, 0, 5, opFBitSet, 3, 17, 0, opSnap, 0, 0, 0, opZero, 3, 17, 0}) // a fully dense page
+	f.Add([]byte{opWord, 0, 0, 1, opWord, 0x80, 255, 2, opWord, 2, 64, 3, opFBitSet, 5, 1, 0,
+		opSnap, 0, 0, 0, opFBitClear, 5, 1, 0, opZero, 0, 0, 0, opWord, 6, 128, 4}) // sparse and far pages
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		const maxSteps = 256
+		if len(prog) > 4*maxSteps {
+			prog = prog[:4*maxSteps]
+		}
+		type pair struct {
+			frozen *MemorySnapshot
+			dense  *denseSnapshot
+			bytes  []byte // the dense reference's encoding, taken at once
+		}
+		take := func(m *Memory) pair {
+			d := &denseSnapshot{pages: denseCopy(&m.pages)}
+			var w wire.Writer
+			d.encode(&w)
+			return pair{m.Snapshot(), d, w.Bytes()}
+		}
+		m := New()
+		var pairs []pair
+		for pc := 0; pc+3 < len(prog); pc += 4 {
+			op, pg, word, val := prog[pc], prog[pc+1], prog[pc+2], prog[pc+3]
+			base := fuzzPages[pg%8]
+			a := base + Addr((int(word)<<1|int(pg>>7))*WordSize)
+			switch op % nOps {
+			case opWord:
+				m.WriteWord(a, uint64(val+1)*0x9E3779B97F4A7C15)
+			case opZero:
+				m.WriteWord(a, 0)
+			case opFBitSet, opFBitClear:
+				v, _ := m.ReadWordFBit(a)
+				m.WriteWordFBit(a, v, op%nOps == opFBitSet)
+			case opFill:
+				for w := 0; w < PageWords; w++ {
+					m.WriteWord(base+Addr(w*WordSize), uint64(w+1)*(uint64(val)|1))
+				}
+			case opSnap:
+				if len(pairs) < 4 {
+					pairs = append(pairs, take(m))
+				}
+			}
+		}
+		pairs = append(pairs, take(m))
+		for i, p := range pairs {
+			want := New()
+			p.dense.restore(want)
+			got := New()
+			got.Restore(p.frozen)
+			sameMemory(t, fmt.Sprintf("snapshot %d restored", i), got, want)
+
+			var w wire.Writer
+			p.frozen.EncodeWire(&w)
+			if !bytes.Equal(w.Bytes(), p.bytes) {
+				t.Fatalf("snapshot %d: EncodeWire differs from the dense encoding", i)
+			}
+			r := wire.NewReader(w.Bytes())
+			dec := DecodeMemorySnapshot(r)
+			if err := r.Close(); err != nil {
+				t.Fatalf("snapshot %d: decode: %v", i, err)
+			}
+			var w2 wire.Writer
+			dec.EncodeWire(&w2)
+			if !bytes.Equal(w2.Bytes(), p.bytes) {
+				t.Fatalf("snapshot %d: decoded snapshot re-encodes differently", i)
+			}
+			fromDec := New()
+			fromDec.Restore(dec)
+			sameMemory(t, fmt.Sprintf("snapshot %d decoded and restored", i), fromDec, want)
+
+			nonzero := 0
+			want.pages.Each(func(_ uint64, pg *page) {
+				for _, v := range pg.words {
+					if v != 0 {
+						nonzero++
+					}
+				}
+			})
+			if wantBytes := p.frozen.Pages()*int(unsafe.Sizeof(frozenPage{})) + nonzero*WordSize; p.frozen.Bytes() != wantBytes {
+				t.Fatalf("snapshot %d: Bytes %d, want %d (%d pages, %d nonzero words)",
+					i, p.frozen.Bytes(), wantBytes, p.frozen.Pages(), nonzero)
+			}
+		}
+	})
 }

@@ -72,7 +72,7 @@ func BenchmarkServeMigrate(b *testing.B) {
 			}
 		}
 		if i%8 == 0 {
-			if _, err := sv.execOps(s, []opRequest{{Op: "relocate", Addr: blk.Addr}}); err != nil {
+			if _, err := sv.execOps(s, []opRequest{{Op: "relocate", Addr: blk.Addr}}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

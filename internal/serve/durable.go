@@ -209,12 +209,11 @@ func (sv *Server) stepSession(s *Session, ops int64) (used int64, done bool, err
 }
 
 // execOps runs a raw batch under the write-ahead discipline (see the
-// file comment) and syncs before returning success — the caller acks
-// the client only on nil error. Guest mistakes come back wrapped in
-// *guestOpError; anything else is a storage failure. Callers hold
-// s.mu.
-func (sv *Server) execOps(s *Session, batch []opRequest) ([]opResult, error) {
-	results := make([]opResult, 0, len(batch))
+// file comment), appending each op's result to results, and syncs
+// before returning success — the caller acks the client only on nil
+// error. Guest mistakes come back wrapped in *guestOpError; anything
+// else is a storage failure. Callers hold s.mu.
+func (sv *Server) execOps(s *Session, batch []opRequest, results []opResult) ([]opResult, error) {
 	for i, op := range batch {
 		res, gerr, serr := sv.execDurableOp(s, op)
 		if gerr != nil {

@@ -21,6 +21,15 @@ func (sv *Server) registerMetrics() *obs.Registry {
 	atomicView(r, "serve.sessions.closed", &sv.closedCount)
 	atomicView(r, "serve.migrations", &sv.migrations)
 	atomicView(r, "serve.snapshots", &sv.snapshots)
+	r.GaugeFunc("serve.snapshots.held_bytes", func() float64 {
+		sv.mu.Lock()
+		defer sv.mu.Unlock()
+		n := 0
+		for _, snap := range sv.snaps {
+			n += snap.st.MemoryBytes()
+		}
+		return float64(n)
+	})
 	atomicView(r, "serve.restores", &sv.restores)
 	atomicView(r, "serve.shed", &sv.shedCount)
 	atomicView(r, "serve.durability_lost", &sv.durabilityLost)

@@ -165,9 +165,9 @@ func TestMigrateAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	res, err := sv.execOps(s, []opRequest{{Op: "malloc", Size: 4096}})
+	res, err := sv.execOps(s, []opRequest{{Op: "malloc", Size: 4096}}, nil)
 	if err == nil {
-		_, err = sv.execOps(s, []opRequest{{Op: "relocate", Addr: res[0].Addr}})
+		_, err = sv.execOps(s, []opRequest{{Op: "relocate", Addr: res[0].Addr}}, nil)
 	}
 	s.mu.Unlock()
 	if err != nil {

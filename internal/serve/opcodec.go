@@ -26,49 +26,69 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
-// opBuffers is one /op request's body and reply buffers, pooled so a
-// steady stream of batches allocates neither.
+// opBuffers is one /op request's body, batch, results and reply,
+// pooled so a steady stream of batches allocates none of them. Each
+// lives only as long as the handler that took the buffers.
 type opBuffers struct {
-	body  bytes.Buffer
-	reply []byte
+	body    bytes.Buffer
+	ops     []opRequest
+	results []opResult
+	reply   []byte
 }
 
 var opBufPool = sync.Pool{New: func() any { return new(opBuffers) }}
 
-// maxPooledBytes keeps a rare near-cap body from pinning a megabyte in
-// the pool.
+// maxPooledBytes keeps a rare near-cap body, or the batch it held, from
+// pinning a megabyte in the pool.
 const maxPooledBytes = 64 << 10
 
-func putOpBuffers(b *opBuffers) {
-	if b.body.Cap() > maxPooledBytes || cap(b.reply) > maxPooledBytes {
-		return
-	}
-	opBufPool.Put(b)
+// fits reports whether every buffer of b is small enough to pool.
+func (b *opBuffers) fits() bool {
+	return b.body.Cap() <= maxPooledBytes && cap(b.reply) <= maxPooledBytes &&
+		cap(b.ops)*int(unsafe.Sizeof(opRequest{})) <= maxPooledBytes &&
+		cap(b.results)*int(unsafe.Sizeof(opResult{})) <= maxPooledBytes
 }
 
-// readOpRequest reads and decodes a /op body, writing the error reply
-// on failure.
-func readOpRequest(w http.ResponseWriter, r *http.Request, body *bytes.Buffer) (opRequest, bool) {
-	body.Reset()
-	_, rerr := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	req, err := decodeOpBody(body.Bytes(), rerr)
+// putOpBuffers returns b to the pool if it fits, clearing the batch
+// first so the pool keeps no op of a finished request.
+func putOpBuffers(b *opBuffers) {
+	if b.fits() {
+		clear(b.ops)
+		opBufPool.Put(b)
+	}
+}
+
+// readOpRequest reads and decodes a /op body into b, writing the error
+// reply on failure. The batch is b.ops: the body's ops array, even an
+// empty one, or else the body as one op ({} and {"ops": null} are one
+// op with no name), which single reports.
+func readOpRequest(w http.ResponseWriter, r *http.Request, b *opBuffers) (batch []opRequest, single, ok bool) {
+	b.body.Reset()
+	_, rerr := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	req, err := decodeOpBody(b.body.Bytes(), rerr, b.ops)
 	if err != nil {
 		writeBodyErr(w, err)
-		return req, false
+		return nil, false, false
 	}
-	return req, true
+	single = req.Ops == nil
+	if single {
+		req.Ops = append(b.ops[:0], req)
+	}
+	b.ops = req.Ops
+	return b.ops, single, true
 }
 
 // decodeOpBody decodes a /op body that reading ended with readErr (nil
 // at a clean end of body). A whole body in the canonical subset takes
-// the fast parser; anything else goes to json.Decoder over the same
-// bytes followed by readErr, which is what the decoder would have read
-// from the request itself.
-func decodeOpBody(body []byte, readErr error) (req opRequest, err error) {
+// the fast parser, which gathers a batch into batch's array; anything
+// else goes to json.Decoder over the same bytes followed by readErr,
+// which is what the decoder would have read from the request itself.
+func decodeOpBody(body []byte, readErr error, batch []opRequest) (req opRequest, err error) {
 	if readErr == nil {
-		if req, ok := parseOpRequest(body); ok {
+		if req, ok := parseOpRequest(body, batch); ok {
 			return req, nil
 		}
 	}
@@ -84,10 +104,11 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// parseOpRequest decodes body when it is in the canonical subset; ok is
-// false when it is not, and then req means nothing.
-func parseOpRequest(body []byte) (req opRequest, ok bool) {
-	p := opParser{b: body}
+// parseOpRequest decodes body when it is in the canonical subset,
+// gathering a batch into batch's array, grown when it is too short; ok
+// is false when it is not, and then req means nothing.
+func parseOpRequest(body []byte, batch []opRequest) (req opRequest, ok bool) {
+	p := opParser{b: body, batch: batch}
 	ok = p.object(&req, true)
 	return req, ok
 }
@@ -109,8 +130,9 @@ var opKeys = [...]string{keyOp: "op", keyAddr: "addr", keySize: "size", keyValue
 var opNames = [...]string{"", "malloc", "free", "load", "store", "relocate", "fbit", "final", "digest"}
 
 type opParser struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	batch []opRequest // the array a batch is gathered into
 }
 
 func (p *opParser) ws() {
@@ -244,14 +266,17 @@ func (p *opParser) number(max uint64) (uint64, bool) {
 	return n, p.i > start
 }
 
-// ops parses the batch array. Up to 64 ops are gathered on the stack,
-// so the batch costs one allocation of exactly its length.
+// ops parses the batch array into the parser's batch array.
 func (p *opParser) ops() ([]opRequest, bool) {
 	if !p.eat('[') {
 		return nil, false
 	}
-	var stack [64]opRequest
-	ops := stack[:0]
+	// Non-nil even when empty: encoding/json decodes [] to an empty
+	// slice, which handleOp answers as a batch.
+	ops := p.batch[:0]
+	if ops == nil {
+		ops = []opRequest{}
+	}
 	if !p.eat(']') {
 		for {
 			var op opRequest
@@ -267,9 +292,7 @@ func (p *opParser) ops() ([]opRequest, bool) {
 			return nil, false
 		}
 	}
-	// Non-nil even when empty: encoding/json decodes [] to an empty
-	// slice, which handleOp answers as a batch.
-	return append(make([]opRequest, 0, len(ops)), ops...), true
+	return ops, true
 }
 
 // maxResultBytes bounds one batch element of the reply: all four

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"memfwd/internal/report"
 )
@@ -113,8 +114,10 @@ func opResultsFrom(data []byte) []opResult {
 // FuzzOpRequest holds the /op codec to encoding/json, its fallback and
 // reference: any body decodes to the same batch, or fails with the
 // same error text and status, as a plain json.Decoder into opRequest,
-// also when the read was cut short by the size cap; and any result
-// slice's reply is report.WriteJSON's bytes.
+// also when the read was cut short by the size cap, and whether the
+// batch is gathered into no array or into a pooled one that still
+// holds a finished request's ops; and any result slice's reply is
+// report.WriteJSON's bytes.
 func FuzzOpRequest(f *testing.F) {
 	for i, body := range opBodySeeds {
 		f.Add([]byte(body), []byte{byte(i), 1, 2, 3, 4, 5, 6, 7, 8, 0x0f, 0xff})
@@ -130,12 +133,15 @@ func FuzzOpRequest(f *testing.F) {
 			}
 			var want opRequest
 			wantErr := json.NewDecoder(rd).Decode(&want)
-			got, err := decodeOpBody(body, readErr)
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) || bodyErrStatus(err) != bodyErrStatus(wantErr) {
-				t.Fatalf("body %q (read error %v): error %v, want %v", body, readErr, err, wantErr)
-			}
-			if err == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("body %q (read error %v): decoded %#v, want %#v", body, readErr, got, want)
+			pooled := []opRequest{{Op: "free", Addr: 8, Size: 16, Value: 7, Words: 2}, {Op: "digest"}, {}}
+			for _, batch := range [][]opRequest{nil, pooled[:0], pooled[:1]} {
+				got, err := decodeOpBody(body, readErr, batch)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || bodyErrStatus(err) != bodyErrStatus(wantErr) {
+					t.Fatalf("body %q (read error %v): error %v, want %v", body, readErr, err, wantErr)
+				}
+				if err == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("body %q (read error %v, pooled %v): decoded %#v, want %#v", body, readErr, batch, got, want)
+				}
 			}
 		}
 
@@ -172,7 +178,7 @@ func bodyErrStatus(err error) int {
 }
 
 // TestOpCodecAllocs pins the fast path: parsing a canonical 32-op batch
-// allocates the batch slice and nothing else, and appending its reply
+// into a pooled array allocates nothing, and appending its reply
 // allocates the output buffer and nothing else.
 func TestOpCodecAllocs(t *testing.T) {
 	ops := make([]opRequest, 32)
@@ -197,14 +203,71 @@ func TestOpCodecAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req, ok := parseOpRequest(body); !ok || !reflect.DeepEqual(req.Ops, ops) {
+	if req, ok := parseOpRequest(body, nil); !ok || !reflect.DeepEqual(req.Ops, ops) {
 		t.Fatalf("canonical batch: ok=%v, decoded %+v", ok, req.Ops)
 	}
-	if n := testing.AllocsPerRun(100, func() { parseOpRequest(body) }); n != 1 {
-		t.Errorf("parsing a 32-op batch: %v allocs, want 1 (the batch slice)", n)
+	var pooled []opRequest
+	if n := testing.AllocsPerRun(100, func() {
+		req, _ := parseOpRequest(body, pooled)
+		pooled = req.Ops
+	}); n != 0 {
+		t.Errorf("parsing a 32-op batch into a pooled array: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { appendOpReply(nil, results, false) }); n != 1 {
 		t.Errorf("appending a 32-result reply: %v allocs, want 1 (the output buffer)", n)
+	}
+}
+
+// TestOpBuffersPooling: readOpRequest gathers each batch into the
+// pooled array, an empty ops array stays a non-nil batch and a single
+// op a batch of one, no op of an earlier request shows through, and
+// buffers whose batch or results outgrew maxPooledBytes stay out of the
+// pool.
+func TestOpBuffersPooling(t *testing.T) {
+	b := new(opBuffers)
+	read := func(body string) ([]opRequest, bool) {
+		t.Helper()
+		r := httptest.NewRequest("POST", "/sessions/s-1/op", strings.NewReader(body))
+		batch, single, ok := readOpRequest(httptest.NewRecorder(), r, b)
+		if !ok {
+			t.Fatalf("body %q rejected", body)
+		}
+		return batch, single
+	}
+	first, _ := read(`{"ops":[{"op":"store","addr":8,"value":3},{"op":"relocate","addr":16,"words":2},{"op":"digest"}]}`)
+	if len(first) != 3 {
+		t.Fatalf("batch %+v", first)
+	}
+	for _, tc := range []struct {
+		body   string
+		want   []opRequest
+		single bool
+	}{
+		{`{"ops":[]}`, []opRequest{}, false},
+		{`{"op":"free"}`, []opRequest{{Op: "free"}}, true},
+		{`{"ops":[{"op":"load"},{}]}`, []opRequest{{Op: "load"}, {}}, false},
+		{`{}`, []opRequest{{}}, true},
+	} {
+		batch, single := read(tc.body)
+		if batch == nil || !reflect.DeepEqual(batch, tc.want) || single != tc.single {
+			t.Fatalf("body %q: batch %#v (single %v), want %#v (single %v)", tc.body, batch, single, tc.want, tc.single)
+		}
+		if &batch[:1][0] != &first[0] {
+			t.Fatalf("body %q: batch left the pooled array", tc.body)
+		}
+	}
+	if !b.fits() {
+		t.Fatal("small buffers do not fit the pool")
+	}
+	big := *b
+	big.ops = make([]opRequest, 0, maxPooledBytes/int(unsafe.Sizeof(opRequest{}))+1)
+	if big.fits() {
+		t.Error("an oversized batch array fits the pool")
+	}
+	big = *b
+	big.results = make([]opResult, 0, maxPooledBytes/int(unsafe.Sizeof(opResult{}))+1)
+	if big.fits() {
+		t.Error("an oversized results array fits the pool")
 	}
 }
 

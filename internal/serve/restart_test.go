@@ -115,7 +115,7 @@ func restartControlDigests(t *testing.T) []uint64 {
 	var drv scriptDriver
 	for i, step := range restartScript {
 		s.mu.Lock()
-		results, err := sv.execOps(s, []opRequest{drv.request(step)})
+		results, err := sv.execOps(s, []opRequest{drv.request(step)}, nil)
 		s.mu.Unlock()
 		if err != nil {
 			t.Fatalf("control step %d (%s): %v", i, step.op, err)
@@ -154,7 +154,7 @@ func runRestartScript(t *testing.T, dir string, in *fault.DiskInjector) restartR
 	var drv scriptDriver
 	for i, step := range restartScript {
 		s.mu.Lock()
-		results, err := sv.execOps(s, []opRequest{drv.request(step)})
+		results, err := sv.execOps(s, []opRequest{drv.request(step)}, nil)
 		s.mu.Unlock()
 		if err != nil {
 			var ge *guestOpError
@@ -311,7 +311,7 @@ func TestRestartRecoveryEveryPoint(t *testing.T) {
 			}
 			// The recovered session keeps serving durably.
 			s2.mu.Lock()
-			_, err := sv2.execOps(s2, []opRequest{{Op: "malloc", Size: 48}})
+			_, err := sv2.execOps(s2, []opRequest{{Op: "malloc", Size: 48}}, nil)
 			s2.mu.Unlock()
 			if err != nil {
 				t.Fatalf("recovered session refused new work: %v", err)

@@ -104,8 +104,10 @@ type Server struct {
 }
 
 // storedSnapshot is one server-held machine snapshot. The underlying
-// MachineState is never mutated after capture (LoadState deep-copies),
-// so one snapshot can seed any number of restores.
+// MachineState is never mutated after capture (LoadState copies out of
+// it), so one snapshot can seed any number of restores. Its frozen
+// pages and words are what /metrics reports as
+// serve.snapshots.held_bytes.
 type storedSnapshot struct {
 	st       *sim.MachineState
 	ops      uint64
@@ -318,7 +320,7 @@ func (sv *Server) addSession(s *Session) error {
 		s.mu.Lock()
 		s.close()
 		s.mu.Unlock()
-		return fmt.Errorf("persist session: %w", err)
+		return fmt.Errorf("%w: persist session: %w", errStorage, err)
 	}
 	sv.mu.Lock()
 	sv.sessions[s.ID] = s
@@ -340,6 +342,19 @@ func (sv *Server) session(id string) (*Session, bool) {
 // errClosed is the error a control-plane call on a closed session wraps;
 // the handlers answer it 410 Gone.
 var errClosed = errors.New("closed")
+
+// errStorage is the error a create or restore wraps when the store
+// could not persist the new session.
+var errStorage = errors.New("storage")
+
+// createStatus is the status a failed create or restore answers: 503
+// for a storage failure, as /op answers one, and 400 for a bad request.
+func createStatus(err error) int {
+	if errors.Is(err, errStorage) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
 
 // migrateSession re-homes s onto shard `to`.
 func (sv *Server) migrateSession(s *Session, to int) error {
@@ -658,7 +673,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s, err := sv.createSession(req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, createStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, sv.info(s))
@@ -691,16 +706,9 @@ func (sv *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	bufs := opBufPool.Get().(*opBuffers)
 	defer putOpBuffers(bufs)
-	req, ok := readOpRequest(w, r, &bufs.body)
+	batch, single, ok := readOpRequest(w, r, bufs)
 	if !ok {
 		return
-	}
-	// A present ops array is a batch, even an empty one; {} and
-	// {"ops": null} are one op with no name.
-	batch := req.Ops
-	single := batch == nil
-	if single {
-		batch = []opRequest{req}
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -708,7 +716,8 @@ func (sv *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "session %s is closed", s.ID)
 		return
 	}
-	results, err := sv.execOps(s, batch)
+	results, err := sv.execOps(s, batch, bufs.results[:0])
+	bufs.results = results
 	s.mu.Unlock()
 	if err != nil {
 		var ge *guestOpError
@@ -859,7 +868,7 @@ func (sv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	s, err := sv.restoreSnapshot(req.Snapshot, req.Shard)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, createStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, sv.info(s))

@@ -19,9 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"memfwd/internal/addrtab"
 	"memfwd/internal/cache"
 	"memfwd/internal/cpu"
 	"memfwd/internal/mem"
@@ -345,62 +343,55 @@ func decodeStrings(r *wire.Reader) []string {
 	return ss
 }
 
-// encodeProv emits the provenance table as its slot capacity plus the
-// live entries sorted by key. Sorting makes the encoding canonical:
-// the in-memory slot layout depends on insertion history, but layout
-// never affects lookups, sweeps, or timing, so only the entry set is
-// state worth carrying.
-func encodeProv(w *wire.Writer, t *provTable) {
-	w.Int(t.Cap())
-	keys := make([]uint64, 0, t.Len())
-	t.Each(func(k uint64, _ ptrEntry) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e, _ := t.Get(k)
-		w.U64(k)
+// encodeProv emits a frozen provenance window: its slot capacity plus
+// its entries sorted by key. Sorting makes the encoding canonical: the
+// in-memory slot layout depends on insertion history, but layout never
+// affects lookups, sweeps, or timing, so only the entry set is state
+// worth carrying.
+func encodeProv(w *wire.Writer, f *frozenProv) {
+	w.Int(f.capSlots)
+	w.U32(uint32(len(f.entries)))
+	for _, e := range f.entries {
+		w.U64(e.key)
 		w.U64(e.base)
 		w.I64(e.ready)
 	}
 }
 
-// decodeProv rebuilds a provenance table by reinserting the sorted
-// entries. The load-factor check guarantees the rebuild never grows
-// the table, so the capacity (and therefore the re-encoded bytes)
-// round-trips exactly.
-func decodeProv(r *wire.Reader) provTable {
+// decodeProv reads a frozen provenance window. The load-factor check
+// guarantees that thawing it never grows the table, so the capacity
+// (and therefore the re-encoded bytes) round-trips exactly.
+func decodeProv(r *wire.Reader) frozenProv {
 	capSlots := r.Int()
 	if r.Err() != nil {
-		return provTable{}
+		return frozenProv{}
 	}
 	if capSlots < 8 || capSlots > maxProvCap || capSlots&(capSlots-1) != 0 {
 		r.Failf("sim: provenance capacity %d invalid", capSlots)
-		return provTable{}
+		return frozenProv{}
 	}
 	n := r.Count(24)
 	if r.Err() == nil && 4*n > 3*capSlots {
 		r.Failf("sim: %d provenance entries overfill %d slots", n, capSlots)
-		return provTable{}
+		return frozenProv{}
 	}
-	t := addrtab.New[ptrEntry](capSlots / 2) // exactly capSlots slots
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
+	f := frozenProv{capSlots: capSlots, entries: make([]provEntry, n)}
+	for i := range f.entries {
 		k := r.U64()
 		if r.Err() != nil {
-			return t
+			return f
 		}
-		if i > 0 && k <= prev {
-			r.Failf("sim: provenance keys out of order (%#x after %#x)", k, prev)
-			return t
+		if i > 0 && k <= f.entries[i-1].key {
+			r.Failf("sim: provenance keys out of order (%#x after %#x)", k, f.entries[i-1].key)
+			return f
 		}
 		if k+1 == 0 {
 			r.Failf("sim: provenance key %#x out of range", k)
-			return t
+			return f
 		}
-		prev = k
-		t.Put(k, ptrEntry{base: r.U64(), ready: r.I64()})
+		f.entries[i] = provEntry{k, ptrEntry{base: r.U64(), ready: r.I64()}}
 	}
-	return t
+	return f
 }
 
 func encodeStats(w *wire.Writer, s *Stats) {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
+	"memfwd/internal/addrtab"
 	"memfwd/internal/cache"
 	"memfwd/internal/core"
 	"memfwd/internal/cpu"
@@ -12,11 +14,13 @@ import (
 
 // MachineState is a full-machine snapshot: every byte of functional
 // state (pages, fbits, allocator maps) and every cycle of timing state
-// (pipeline cursors, cache tags, MSHRs, provenance window), deep-copied
-// so the snapshot is immutable and reusable. Restoring it into any
-// Machine built with the same Config — on any shard, in any order,
-// any number of times — resumes execution deterministically: the
-// continuation is instruction-for-instruction and byte-for-byte
+// (pipeline cursors, cache tags, MSHRs, provenance window), copied so
+// the snapshot is immutable and reusable. Pages and provenance windows
+// are held frozen: a page as its bitmaps plus its nonzero words, a
+// window as its capacity plus its entries in key order. Restoring it
+// into any Machine built with the same Config — on any shard, in any
+// order, any number of times — resumes execution deterministically:
+// the continuation is instruction-for-instruction and byte-for-byte
 // identical to the source machine's (DESIGN.md §10).
 //
 // Two kinds of field are deliberately process-local values rather than
@@ -54,7 +58,7 @@ type MachineState struct {
 	mispredictCtr uint32
 	depCtr        uint32
 
-	prov      provTable
+	prov      frozenProv
 	provLimit int
 
 	phases      []string
@@ -79,15 +83,55 @@ type hartSnap struct {
 	l1, l2        *cache.CacheSnapshot
 	mispredictCtr uint32
 	depCtr        uint32
-	prov          provTable
+	prov          frozenProv
 	stats         Stats
 }
+
+// frozenProv is a provenance window held in a MachineState: its slot
+// capacity plus its entries in key order, the shape encodeProv writes.
+// Only the entry set is state: slot layout never affects a lookup, a
+// sweep or timing.
+type frozenProv struct {
+	capSlots int
+	entries  []provEntry
+}
+
+// provEntry is one entry of a frozen provenance window.
+type provEntry struct {
+	key uint64
+	ptrEntry
+}
+
+// freezeProv captures t in frozen form.
+func freezeProv(t *provTable) frozenProv {
+	f := frozenProv{capSlots: t.Cap(), entries: make([]provEntry, 0, t.Len())}
+	t.Each(func(k uint64, e ptrEntry) { f.entries = append(f.entries, provEntry{k, e}) })
+	sort.Slice(f.entries, func(i, j int) bool { return f.entries[i].key < f.entries[j].key })
+	return f
+}
+
+// thaw loads the window into t, reusing t's slots when the capacities
+// match and building a table of the frozen capacity otherwise.
+func (f *frozenProv) thaw(t *provTable) {
+	if t.Cap() == f.capSlots {
+		t.Clear()
+	} else {
+		*t = addrtab.New[ptrEntry](f.capSlots / 2) // exactly capSlots slots
+	}
+	for _, e := range f.entries {
+		t.Put(e.key, e.ptrEntry)
+	}
+}
+
+// MemoryBytes returns the bytes the state's frozen pages and their
+// packed words occupy.
+func (st *MachineState) MemoryBytes() int { return st.mem.Bytes() }
 
 // Config returns the configuration the state was captured under; a
 // target machine must be built with an equal Config.
 func (st *MachineState) Config() Config { return st.cfg }
 
-// SaveState captures a deep snapshot of the machine. The machine must
+// SaveState captures a snapshot of the machine. The machine must
 // be quiescent (no guest operation in flight); serve sessions guarantee
 // this by parking the runner at an operation boundary first. A
 // multi-hart machine must additionally be parked on hart 0 — the
@@ -106,7 +150,7 @@ func (m *Machine) SaveState() *MachineState {
 			l2:            h.l2.Snapshot(),
 			mispredictCtr: h.mispredictCtr,
 			depCtr:        h.depCtr,
-			prov:          h.ptrProv.Clone(),
+			prov:          freezeProv(&h.ptrProv),
 			stats:         *h.stats,
 		})
 	}
@@ -128,7 +172,7 @@ func (m *Machine) SaveState() *MachineState {
 		curSite:       m.curSite,
 		mispredictCtr: m.mispredictCtr,
 		depCtr:        m.depCtr,
-		prov:          m.ptrProv.Clone(),
+		prov:          freezeProv(&m.ptrProv),
 		provLimit:     m.provLimit,
 		phases:        append([]string(nil), m.phases...),
 		sampleEvery:   m.sampleEvery,
@@ -141,13 +185,18 @@ func (m *Machine) SaveState() *MachineState {
 
 // LoadState restores a snapshot into m, which must have been built
 // with the same Config (validated; the pipeline and cache layers
-// re-validate their own geometry). The state is deep-copied in, so the
-// same MachineState can seed several machines. See the MachineState
-// doc for what travels verbatim versus what stays with the target.
+// re-validate their own geometry). The state is copied in, so the same
+// MachineState can seed several machines; provenance windows thaw into
+// the machine's own tables. See the MachineState doc for what travels
+// verbatim versus what stays with the target.
 func (m *Machine) LoadState(st *MachineState) error {
 	if m.cfg != st.cfg {
 		return fmt.Errorf("sim: LoadState config mismatch: machine %+v, state %+v", m.cfg, st.cfg)
 	}
+	// Load onto hart 0, so each hart's timing state and provenance
+	// window land in that hart's own; the restored machine stays parked
+	// there, mirroring the save-side contract.
+	m.SetHart(0)
 	m.Mem.Restore(st.mem)
 	m.Alloc.Restore(st.alloc)
 	m.Fwd.Restore(st.fwd)
@@ -169,7 +218,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 	m.curSite = st.curSite
 	m.mispredictCtr = st.mispredictCtr
 	m.depCtr = st.depCtr
-	m.ptrProv = st.prov.Clone()
+	st.prov.thaw(&m.ptrProv)
 	m.provLimit = st.provLimit
 	m.phases = append(m.phases[:0], st.phases...)
 	m.sampleEvery = st.sampleEvery
@@ -180,9 +229,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 	m.hopScratch = m.hopScratch[:0]
 	m.chainScratch = m.chainScratch[:0]
 	// Extra harts: the cfg equality check above guarantees the counts
-	// match (Harts is part of Config). The restored machine parks on
-	// hart 0, mirroring the save-side contract.
-	m.curHart = 0
+	// match (Harts is part of Config).
 	for i := range st.harts {
 		h := &m.harts[i+1]
 		src := &st.harts[i]
@@ -197,7 +244,7 @@ func (m *Machine) LoadState(st *MachineState) error {
 		}
 		h.mispredictCtr = src.mispredictCtr
 		h.depCtr = src.depCtr
-		h.ptrProv = src.prov.Clone()
+		src.prov.thaw(&h.ptrProv)
 		*h.stats = src.stats
 	}
 	m.cohInvL1 = st.cohInvL1

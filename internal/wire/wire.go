@@ -150,6 +150,10 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
+// Raw reads n bytes as a view into the input, not a copy, for a
+// decoder that makes more than one pass over a run of records.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
 	b := r.take(1)
